@@ -305,6 +305,72 @@ def smith(A):
         invariant_factors=factors)
 
 
+def sparse_invariant_factors(columns):
+    """Invariant factors of the integer matrix with the given columns.
+
+    Each column is a {row: entry} dict with no zero entries; the input is
+    not modified.  Pivots of absolute value 1 are eliminated sparsely,
+    always from a shortest column that holds one, which keeps fill-in
+    low; each adds one factor 1.  Dense smith finishes the block that is
+    left.  The Smith normal form is unique, so the result equals
+    smith(A).invariant_factors.
+    """
+    cols = [dict(col) for col in columns]
+    in_row = {}     # row -> ids of the columns with an entry in that row
+    by_size = {}    # entry count -> ids of the columns not yet tried
+    for j, col in enumerate(cols):
+        for i in col:
+            in_row.setdefault(i, set()).add(j)
+        if col:
+            by_size.setdefault(len(col), set()).add(j)
+    units = 0
+    while by_size:
+        size = min(by_size)
+        bucket = by_size[size]
+        j = bucket.pop()
+        if not bucket:
+            del by_size[size]
+        col = cols[j]
+        piv = min((i for i, a in col.items() if a in (1, -1)),
+                  key=lambda i: len(in_row[i]), default=None)
+        if piv is None:
+            continue  # no unit now; retried only if a later pivot changes it
+        # Column operations clear row piv outside column j; row piv is then
+        # a unit row, so column j and row piv split off as a factor 1.
+        p = col[piv]
+        for k in in_row[piv] - {j}:
+            other = cols[k]
+            old_size = len(other)
+            q = other[piv] * p
+            for i, a in col.items():
+                b = other.get(i, 0) - q * a
+                if not b:
+                    del other[i]
+                    in_row[i].discard(k)
+                else:
+                    if i not in other:
+                        in_row[i].add(k)
+                    other[i] = b
+            old = by_size.get(old_size)
+            if old is not None:
+                old.discard(k)
+                if not old:
+                    del by_size[old_size]
+            if other:
+                by_size.setdefault(len(other), set()).add(k)
+        for i in col:
+            in_row[i].discard(j)
+        cols[j] = {}
+        units += 1
+    left = [col for col in cols if col]
+    if not left:
+        return (1,) * units
+    rows = sorted(set().union(*left))
+    dense = [[col.get(i, 0) for col in left] for i in rows]
+    return (1,) * units + smith(IntMatrix(dense, rows=len(rows),
+                                          cols=len(left))).invariant_factors
+
+
 def kernel_lattice(A):
     """Basis (as rows) of the saturated lattice {x in Z^cols : A x^T = 0}.
 

@@ -205,3 +205,13 @@ def test_criterion_8_invariance_suite():
         _, zero = ma.w2_of_quotient(theta)
         assert not zero
     report(8, "invariance suite", t0, 30.0)
+
+
+def test_criterion_9_large_sphere_certificate():
+    t0 = time.perf_counter()
+    cert = ma.is_homology_sphere(ma.cyclic_polytope_boundary(8, 12))
+    assert cert.verdict
+    assert len(cert.complexes) == 220
+    assert all(rec["homology_matches_sphere"]
+               for rec in cert.complexes.values())
+    report(9, "certificate of the boundary of C8(12)", t0, 20.0)

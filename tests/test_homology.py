@@ -1,7 +1,17 @@
+import json
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from momentangle.homology import (chain_complex, homology,
-                                  is_homology_sphere, manifold_verdict)
+import momentangle
+from momentangle.homology import (InternalError,
+                                  _check_boundary_squared_zero, chain_complex,
+                                  homology, is_homology_sphere,
+                                  manifold_verdict)
+from momentangle.intlinalg import rank_mod2, smith
 from momentangle.simplicial import (boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
 
@@ -11,6 +21,42 @@ RP2 = new_complex(6, [
     (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
     (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
 ])
+# Suspension of RP^2 (Z/2 moves up to H_2) and the cone over it (acyclic).
+SUSP_RP2 = new_complex(8, [f + (v,) for f in RP2.facets for v in (7, 8)])
+CONE_RP2 = new_complex(7, [f + (7,) for f in RP2.facets])
+
+
+def dense_reference(K, reduced):
+    """Homology from dense smith and GF(2) rank on the chain_complex
+    boundaries; also checks rank_mod2 == number of odd invariant factors
+    on every boundary."""
+    dim = K.dimension
+    fvec = K.f_vector()
+    ranks_z = [0] * (dim + 2)
+    ranks_2 = [0] * (dim + 2)
+    factors = [()] * (dim + 2)
+    for d, bd in enumerate(chain_complex(K).boundaries):
+        factors_d = smith(bd).invariant_factors
+        rank_2 = rank_mod2(bd)
+        assert rank_2 == sum(1 for f in factors_d if f % 2)
+        if d == 0 and not reduced:
+            continue
+        ranks_z[d] = len(factors_d)
+        ranks_2[d] = rank_2
+        factors[d] = factors_d
+    return (tuple(fvec[d] - ranks_z[d] - ranks_z[d + 1]
+                  for d in range(dim + 1)),
+            tuple(tuple(f for f in factors[d + 1] if f > 1)
+                  for d in range(dim + 1)),
+            tuple(fvec[d] - ranks_2[d] - ranks_2[d + 1]
+                  for d in range(dim + 1)))
+
+
+def random_complex(rng):
+    m = rng.randint(1, 8)
+    return new_complex(m, [rng.sample(range(1, m + 1),
+                                      rng.randint(1, min(m, 4)))
+                           for _ in range(rng.randint(1, 9))])
 
 
 class TestChainComplex:
@@ -28,6 +74,33 @@ class TestChainComplex:
     def test_c69_top_boundary(self):
         cc = chain_complex(cyclic_polytope_boundary(6, 9))
         assert cc.boundaries[5].cols == 30
+
+    def test_boundary_squared_check_raises(self):
+        # Column 0 of the upper map hits the lower map's column 0 once.
+        with pytest.raises(InternalError, match="boundary of boundary"):
+            _check_boundary_squared_zero([{0: 1}], [{0: 1}])
+        _check_boundary_squared_zero([{0: 1}, {0: 1}], [{0: 1, 1: -1}])
+
+    def test_boundary_squared_check_survives_optimize(self, tmp_path):
+        # Under -O: the checker still raises, and a failing check still
+        # makes check-manifold exit 3.
+        path = tmp_path / "s2.json"
+        path.write_text(json.dumps(boundary_of_simplex(3).to_json()))
+        script = (
+            "import sys\n"
+            "from momentangle.cli import main\n"
+            "h = sys.modules['momentangle.homology']\n"
+            "assert False, 'asserts are live'\n"
+            "def broken(K):\n"
+            "    h._check_boundary_squared_zero([{0: 1}], [{0: 1}])\n"
+            "h._boundary_columns = broken\n"
+            f"sys.exit(main(['check-manifold', '--complex', {str(path)!r}]))\n")
+        src = os.path.dirname(os.path.dirname(momentangle.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "boundary of boundary is nonzero" in proc.stderr
 
     def test_boundary_squared_zero(self):
         for K in [boundary_of_simplex(4), RP2, cyclic_polytope_boundary(3, 6)]:
@@ -90,6 +163,29 @@ class TestHomology:
                           + sum(1 for t in prof.torsion[d] if t % 2 == 0)
                           + sum(1 for t in below if t % 2 == 0))
                 assert prof.mod2[d] == expect
+
+
+class TestSparseAgainstDense:
+    def test_matches_dense_reference(self):
+        rng = random.Random(20261017)
+        named = [RP2, SUSP_RP2, CONE_RP2, cyclic_polytope_boundary(4, 7)]
+        for K in named + [random_complex(rng) for _ in range(320)]:
+            for reduced in (True, False):
+                prof = homology(K, reduced=reduced)
+                assert ((prof.betti, prof.torsion, prof.mod2)
+                        == dense_reference(K, reduced)), (K, reduced)
+
+    def test_suspension_shifts_torsion(self):
+        prof = homology(SUSP_RP2)
+        assert prof.betti == (0, 0, 0, 0)
+        assert prof.torsion == ((), (), (2,), ())
+        assert prof.mod2 == (0, 0, 1, 1)
+
+    def test_cone_is_acyclic(self):
+        prof = homology(CONE_RP2)
+        assert prof.betti == (0, 0, 0, 0)
+        assert all(t == () for t in prof.torsion)
+        assert prof.mod2 == (0, 0, 0, 0)
 
 
 class TestSphereCertificate:

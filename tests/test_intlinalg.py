@@ -7,7 +7,8 @@ from momentangle.intlinalg import (IntMatrix, RatMatrix, cokernel,
                                    hermite_normal_form, image_contains,
                                    is_primitive_rows, kernel_lattice,
                                    rank_mod2, rank_rational,
-                                   row_lattice_equal, smith)
+                                   row_lattice_equal, smith,
+                                   sparse_invariant_factors)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -24,6 +25,11 @@ def random_unimodular(rng, n):
         q = rng.randint(-3, 3)
         M[i] = [a + q * b for a, b in zip(M[i], M[j])]
     return IntMatrix(M)
+
+
+def sparse_columns(A):
+    return [{i: row[j] for i, row in enumerate(A.data) if row[j]}
+            for j in range(A.cols)]
 
 
 class TestSmith:
@@ -73,6 +79,44 @@ class TestSmith:
                 prod *= x
             assert abs(dA) == prod
             done += 1
+
+
+class TestSparseInvariantFactors:
+    def test_empty_and_zero(self):
+        assert sparse_invariant_factors([]) == ()
+        assert sparse_invariant_factors([{}, {}]) == ()
+
+    def test_no_unit_pivot_goes_dense(self):
+        assert sparse_invariant_factors([{0: 2}, {0: 4, 1: 8}]) == (2, 8)
+
+    def test_input_not_modified(self):
+        cols = [{0: 1, 1: -1}, {0: 1, 2: 1}, {1: 1, 2: -1}]
+        before = [dict(c) for c in cols]
+        assert sparse_invariant_factors(cols) == (1, 1, 2)
+        assert cols == before
+
+    def test_matches_dense_smith(self):
+        rng = random.Random(20261017)
+        for entries, size in (((0, 0, 0, 1, -1), 12),
+                              ((0, 0, 1, -1, 2, -3, 4), 7)):
+            for _ in range(300):
+                rows, cols = rng.randint(1, size), rng.randint(1, size)
+                A = IntMatrix([[rng.choice(entries) for _ in range(cols)]
+                               for _ in range(rows)])
+                assert (sparse_invariant_factors(sparse_columns(A))
+                        == smith(A).invariant_factors)
+
+    def test_sympy_cross_check(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = random.Random(1123)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            A = IntMatrix([[rng.choice((0, 0, 1, -1, 2, -2, 3))
+                            for _ in range(cols)] for _ in range(rows)])
+            want = tuple(abs(int(x)) for x in invariant_factors(
+                sympy.Matrix(A.data), domain=sympy.ZZ) if x)
+            assert sparse_invariant_factors(sparse_columns(A)) == want
 
 
 class TestDetRank:
