@@ -8,7 +8,7 @@ from .charclasses import (GradedMod2Ring, Mod2Class, face_ring_mod2,
 from .homology import (ChainComplexData, HomologyProfile, SphereCertificate,
                        chain_complex, homology, is_homology_sphere,
                        manifold_verdict)
-from .intlinalg import (AbelianGroupPresentation, IntMatrix, RatMatrix,
+from .intlinalg import (AbelianGroupPresentation, IntMatrix,
                         SmithDecomposition, cokernel, complete_to_unimodular,
                         det, hermite_normal_form, image_contains,
                         is_primitive_rows, kernel_lattice, rank_rational,

@@ -54,6 +54,25 @@ def h2_of_quotient(theta: IntMatrix) -> AbelianGroupPresentation:
     return cokernel(theta.transpose())
 
 
+def mod2_residue(theta: IntMatrix, vec):
+    """Reduce an integer vector mod 2 and then modulo the mod-2 row space
+    of theta.
+
+    Returns (residue, pivots): the residue as a bitmask (bit j is
+    coordinate j), zero iff vec lies in the row space, and the pivot
+    positions of the reduced row echelon form of theta mod 2.
+    """
+    rows, pivots = rref_mod2(rows_to_bitmasks(theta))
+    mask = 0
+    for j, b in enumerate(vec):
+        if b & 1:
+            mask |= 1 << j
+    for row, p in zip(rows, pivots):
+        if (mask >> p) & 1:
+            mask ^= row
+    return mask, pivots
+
+
 def w2_of_quotient(theta: IntMatrix):
     """(class of v_1+...+v_m in the mod-2 cokernel, is_zero flag).
 
@@ -62,11 +81,7 @@ def w2_of_quotient(theta: IntMatrix):
     the non-pivot generator indices.
     """
     m = theta.cols
-    rows, pivots = rref_mod2(rows_to_bitmasks(theta))
-    vec = (1 << m) - 1
-    for row, p in zip(rows, pivots):
-        if (vec >> p) & 1:
-            vec ^= row
+    vec, pivots = mod2_residue(theta, [1] * m)
     basis = [j for j in range(m) if j not in set(pivots)]
     coords = tuple((vec >> j) & 1 for j in basis)
     ambient = ("H^2 of quotient, mod 2; basis "
@@ -163,23 +178,13 @@ class GradedMod2Ring:
     def _degree(self, t):
         if t in self._degree_cache:
             return self._degree_cache[t]
-        nfree = len(self.free_vars)
-        monos = []
-        if nfree == 0:
-            if t == 0:
-                monos = [()]
-        else:
-            for combo in combinations_with_replacement(range(nfree), t):
-                e = [0] * nfree
-                for i in combo:
-                    e[i] += 1
-                monos.append(tuple(e))
+        monos = self._monomials(t)
         index = {mono: i for i, mono in enumerate(monos)}
         ideal_rows = []
         for deg, poly in self._relations:
             if deg > t:
                 continue
-            for mono in self._monomials_raw(t - deg):
+            for mono in self._monomials(t - deg):
                 prod = _poly_mul(frozenset({mono}), poly)
                 mask = 0
                 for mm in prod:
@@ -191,7 +196,9 @@ class GradedMod2Ring:
         self._degree_cache[t] = entry
         return entry
 
-    def _monomials_raw(self, t):
+    def _monomials(self, t):
+        """Exponent tuples of the degree-t monomials in the free
+        generators, in combinations_with_replacement order."""
         nfree = len(self.free_vars)
         if nfree == 0:
             return [()] if t == 0 else []

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / true verdict, 1 false or negative verdict,
-2 input error, 3 internal assertion failure.  Every verdict-style
-command also carries a "verdict" field in its JSON output matching the
-exit code.  All randomness requires an explicit --seed.
+2 input error, 3 internal error (a failed assertion or any other
+unexpected exception, so a crash never reads as a negative verdict).
+Every verdict-style command also carries a "verdict" field in its JSON
+output matching the exit code.  All randomness requires an explicit --seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .charclasses import (face_ring_mod2, h2_of_quotient, sw_numbers,
                           sw_triviality, total_sw_class, w2_of_quotient)
@@ -279,6 +281,11 @@ def main(argv=None):
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -1,16 +1,14 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Everything here runs on Python's arbitrary-precision integers (or
-``fractions.Fraction``); no floating point is used anywhere.  The Smith
-normal form is the engine behind every lattice question in the package:
-kernels, cokernels, primitivity, unimodular completions.
+Everything here runs on Python's arbitrary-precision integers; no
+floating point is used anywhere.  The Smith normal form is the engine
+behind every lattice question in the package: kernels, cokernels,
+primitivity, unimodular completions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 
 class IntMatrix:
@@ -105,52 +103,6 @@ class IntMatrix:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["data"], rows=obj["rows"], cols=obj["cols"])
-
-
-class RatMatrix:
-    """Immutable dense matrix over the rationals (entries in lowest terms)."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data, rows=None, cols=None):
-        data = tuple(tuple(Fraction(x) for x in row) for row in data)
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("ragged or mis-shaped matrix data")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def clear_denominators(self):
-        """Integerize by scaling each row by the LCM of its denominators.
-
-        Row scaling does not change the rational row space or the kernel,
-        which is all downstream lattice code cares about.
-        """
-        out = []
-        for row in self.data:
-            mult = lcm(*(f.denominator for f in row)) if row else 1
-            out.append([int(f * mult) for f in row])
-        return IntMatrix(out, rows=self.rows, cols=self.cols)
-
-    def to_json(self):
-        return {"rows": self.rows, "cols": self.cols,
-                "data": [[str(f) for f in r] for r in self.data]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls([[Fraction(s) for s in row] for row in obj["data"]],
-                   rows=obj["rows"], cols=obj["cols"])
 
 
 def det(A):
@@ -383,10 +335,21 @@ def kernel_lattice(A):
     return IntMatrix(vt.data[r:], rows=A.cols - r, cols=A.cols)
 
 
+def is_primitive_cols(k, columns):
+    """True iff the k-row matrix with these columns (each a length-k
+    sequence) has rank k and all invariant factors 1.
+
+    This is the one primitivity test of the package: the rows then span a
+    direct summand, and the torus map the columns define is injective.
+    No IntMatrix and no Smith transforms are built.
+    """
+    return sparse_invariant_factors(
+        {i: a for i, a in enumerate(col) if a} for col in columns) == (1,) * k
+
+
 def is_primitive_rows(A):
     """True iff the rows span a rank-rows direct summand of Z^cols."""
-    sd = smith(A)
-    return sd.rank == A.rows and all(d == 1 for d in sd.invariant_factors)
+    return is_primitive_cols(A.rows, A.transpose().data)
 
 
 def complete_to_unimodular(A):

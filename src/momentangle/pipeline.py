@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .charclasses import h2_of_quotient, w2_of_quotient
+from .charclasses import h2_of_quotient, mod2_residue, w2_of_quotient
 from .homology import is_homology_sphere
 from .intlinalg import (IntMatrix, det, image_contains, kernel_lattice,
                         row_lattice_equal)
@@ -56,7 +56,7 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     re-derived quotient matrices with the same row lattice."""
     stages = []
 
-    def fail(report_done=False):
+    def fail():
         first = next(s.name for s in stages if not s.passed)
         return VerificationReport(stages, False, first)
 
@@ -96,8 +96,7 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     res = acts_freely(T, K)
     minor_ok = True
     bad_comp = None
-    for sigma in K.facets:
-        comp = tuple(v for v in range(1, 10) if v not in set(sigma))
+    for comp in K.facet_complements():
         sub = A.submatrix_cols(comp)
         if not any(det(sub.submatrix_cols(pair)) in (1, -1)
                    for pair in combinations(range(1, len(comp) + 1), A.rows)):
@@ -156,7 +155,7 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     diff = [1] * 9
     diff[0] ^= 1
     diff[1] ^= 1
-    _, diff_zero = w2_of_quotient_vector(Q, diff)
+    diff_zero = mod2_residue(Q, diff)[0] == 0
     st = StageResult("w2", (not zero) and diff_zero,
                      {"coords": list(cls.coords), "nonzero": not zero,
                       "equals_v1_plus_v2": diff_zero})
@@ -165,18 +164,3 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
         return fail()
 
     return VerificationReport(stages, True, None)
-
-
-def w2_of_quotient_vector(theta: IntMatrix, vec):
-    """Reduce an arbitrary mod-2 vector the same way w2_of_quotient
-    reduces the all-ones vector."""
-    from .intlinalg import rows_to_bitmasks, rref_mod2
-    rows, pivots = rref_mod2(rows_to_bitmasks(theta))
-    mask = 0
-    for j, b in enumerate(vec):
-        if b & 1:
-            mask |= 1 << j
-    for row, p in zip(rows, pivots):
-        if (mask >> p) & 1:
-            mask ^= row
-    return mask, mask == 0

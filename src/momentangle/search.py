@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .intlinalg import IntMatrix, hermite_normal_form, smith
+from .intlinalg import IntMatrix, hermite_normal_form, is_primitive_cols
 from .simplicial import SimplicialComplex
 from .torus import PreconditionError, Subtorus
 
@@ -28,6 +28,8 @@ BOUNDED_EVIDENCE = ("bounded evidence: search covered the stated entry set "
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings.  k = 0 is allowed: the trivial torus is found once."""
+
     k: int
     entry_set: tuple
     mode: str = "exhaustive"          # "exhaustive" | "random"
@@ -37,6 +39,9 @@ class SearchConfig:
     ceiling: int = 10_000_000
 
     def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(
+                f"subtorus dimension k must be >= 0, got {self.k}")
         if not self.entry_set:
             raise ValueError("entry set must be nonempty")
         if self.mode not in ("exhaustive", "random"):
@@ -59,15 +64,9 @@ class SearchResult:
                 "note": self.note}
 
 
-def _injective(sub: IntMatrix) -> bool:
-    sd = smith(sub)
-    return sd.rank == sub.rows and all(d == 1 for d in sd.invariant_factors)
-
-
-def _constraints_by_depth(K: SimplicialComplex):
+def _constraints_by_depth(comps):
     by_depth = {}
-    for sigma in K.facets:
-        comp = tuple(v for v in range(1, K.m + 1) if v not in set(sigma))
+    for comp in comps:
         by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
     return by_depth
 
@@ -81,34 +80,33 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     k = cfg.k
     result = SearchResult()
     seen = set()
+    comps = K.facet_complements()
 
-    def record(rows):
-        A = IntMatrix(rows, rows=k, cols=m)
-        sd = smith(A)
-        if sd.rank != k or any(d != 1 for d in sd.invariant_factors):
+    def record(columns):
+        if not is_primitive_cols(k, columns):
             return
-        key = hermite_normal_form(A)
+        key = hermite_normal_form(
+            IntMatrix([[col[i] for col in columns] for i in range(k)],
+                      rows=k, cols=m))
         if key in seen:
             return
         seen.add(key)
         result.found.append(Subtorus(key))
 
-    def passes_all(rows):
-        A = IntMatrix(rows, rows=k, cols=m)
-        return all(
-            _injective(A.submatrix_cols(
-                tuple(v for v in range(1, m + 1) if v not in set(sigma))))
-            for sigma in K.facets)
+    def passes_all(columns):
+        return all(is_primitive_cols(k, [columns[j - 1] for j in comp])
+                   for comp in comps)
 
     if cfg.mode == "random":
         rng = random.Random(cfg.seed)
         for _ in range(cfg.samples):
             rows = [[rng.choice(cfg.entry_set) for _ in range(m)]
                     for _ in range(k)]
+            columns = [tuple(row[j] for row in rows) for j in range(m)]
             result.explored += 1
-            if passes_all(rows):
+            if passes_all(columns):
                 result.complete_candidates += 1
-                record(rows)
+                record(columns)
         return result
 
     raw = len(cfg.entry_set) ** (k * m)
@@ -116,22 +114,19 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         raise ValueError(
             f"{raw} raw candidates exceed the ceiling {cfg.ceiling}; "
             "enable pruning")
-    by_depth = _constraints_by_depth(K)
+    by_depth = _constraints_by_depth(comps)
     column_choices = list(product(cfg.entry_set, repeat=k))
 
     def dfs(columns):
         depth = len(columns)
         if cfg.prune and depth > 0:
             for comp in by_depth.get(depth, ()):
-                sub = IntMatrix([[columns[j - 1][i] for j in comp]
-                                 for i in range(k)], rows=k, cols=len(comp))
-                if not _injective(sub):
+                if not is_primitive_cols(k, [columns[j - 1] for j in comp]):
                     return
         if depth == m:
-            rows = [[col[i] for col in columns] for i in range(k)]
-            if cfg.prune or passes_all(rows):
+            if cfg.prune or passes_all(columns):
                 result.complete_candidates += 1
-                record(rows)
+                record(columns)
             return
         for col in column_choices:
             result.explored += 1

@@ -62,6 +62,15 @@ class SimplicialComplex:
             seen.update(f)
         return tuple(sorted(seen))
 
+    def facet_complements(self):
+        """{1..m} minus each facet, ascending, in facet order."""
+        out = []
+        for f in self.facets:
+            fset = set(f)
+            out.append(tuple(v for v in range(1, self.m + 1)
+                             if v not in fset))
+        return out
+
     def has_face(self, sigma):
         sigma = set(sigma)
         if not sigma:

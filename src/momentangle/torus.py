@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intlinalg import (IntMatrix, complete_to_unimodular, det,
-                        hermite_normal_form, is_primitive_rows,
-                        kernel_lattice, rank_rational, row_lattice_equal,
-                        smith)
+                        hermite_normal_form, is_primitive_cols,
+                        is_primitive_rows, kernel_lattice, rank_rational,
+                        row_lattice_equal)
 from .simplicial import SimplicialComplex
 
 
@@ -79,20 +79,6 @@ def cyclic69_quotient_matrix() -> IntMatrix:
     ])
 
 
-def _complement(sigma, m):
-    sset = set(sigma)
-    return tuple(v for v in range(1, m + 1) if v not in sset)
-
-
-def _injective_on_cols(A: IntMatrix, cols) -> bool:
-    """Does the column submatrix define an injective torus homomorphism?
-
-    True iff rank equals the row count and all invariant factors are 1.
-    """
-    sd = smith(A.submatrix_cols(cols))
-    return sd.rank == A.rows and all(d == 1 for d in sd.invariant_factors)
-
-
 @dataclass(frozen=True)
 class FreenessResult:
     free: bool
@@ -114,8 +100,9 @@ def _check_action_input(T: Subtorus, K: SimplicialComplex):
 def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:
     """Free action test, one submatrix check per facet."""
     _check_action_input(T, K)
-    for sigma in K.facets:
-        if not _injective_on_cols(T.matrix, _complement(sigma, K.m)):
+    cols = T.matrix.transpose().data
+    for sigma, comp in zip(K.facets, K.facet_complements()):
+        if not is_primitive_cols(T.k, [cols[j - 1] for j in comp]):
             return FreenessResult(False, sigma)
     return FreenessResult(True, None)
 
@@ -124,9 +111,8 @@ def acts_almost_freely(T: Subtorus, K: SimplicialComplex) -> bool:
     """Finite isotropy everywhere: rational rank k outside every facet."""
     _check_action_input(T, K)
     k = T.k
-    return all(
-        rank_rational(T.matrix.submatrix_cols(_complement(sigma, K.m))) == k
-        for sigma in K.facets)
+    return all(rank_rational(T.matrix.submatrix_cols(comp)) == k
+               for comp in K.facet_complements())
 
 
 def is_rational_characteristic(lam: IntMatrix, K: SimplicialComplex) -> bool:
@@ -168,9 +154,9 @@ def characteristic_duality_holds(lam: IntMatrix, theta: IntMatrix,
         raise PreconditionError("row systems are not orthogonal")
     if rank_rational(lam.stack(theta)) != m:
         raise PreconditionError("rows are not jointly independent over Q")
-    for sigma in K.facets:
+    for sigma, comp in zip(K.facets, K.facet_complements()):
         left = det(lam.submatrix_cols(sigma)) != 0
-        right = det(theta.submatrix_cols(_complement(sigma, m))) != 0
+        right = det(theta.submatrix_cols(comp)) != 0
         if left != right:
             return False
     return True
@@ -210,7 +196,7 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
         raise ValueError(f"subtorus dimension {T.k} exceeds m - n = {m - n}")
     bound = entry_bound if entry_bound is not None else max(3, m)
     rng = random.Random(seed)
-    comps = [_complement(sigma, m) for sigma in K.facets]
+    comps = K.facet_complements()
 
     def dets_ok(theta_full):
         return all(det(theta_full.submatrix_cols(c)) != 0 for c in comps)

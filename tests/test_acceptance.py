@@ -111,8 +111,11 @@ def test_criterion_5_maximality_evidence():
     K = ma.cyclic_polytope_boundary(6, 9)
     res3 = ma.search_free(K, ma.SearchConfig(k=3, entry_set=(0, 1)))
     assert res3.found == []
+    assert res3.explored == 31_496
     assert "bounded evidence" in res3.note
     res2 = ma.search_free(K, ma.SearchConfig(k=2, entry_set=(0, 1)))
+    assert len(res2.found) == 2223
+    assert res2.explored == 20_700
     key = ma.cyclic69_free_subtorus().row_lattice_key()
     assert any(t.row_lattice_key() == key for t in res2.found)
     report(5, "bounded maximality search", t0, 300.0)

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from momentangle.charclasses import (face_ring_mod2, h2_of_quotient,
-                                     sw_numbers, sw_triviality,
+                                     mod2_residue, sw_numbers, sw_triviality,
                                      total_sw_class, w2_of_quotient)
 from momentangle.intlinalg import IntMatrix, image_contains
 from momentangle.simplicial import boundary_of_simplex, new_complex
@@ -100,6 +100,13 @@ class TestW2:
         Q2 = quotient_projection(cyclic69_free_subtorus())
         _, zero = w2_of_quotient(Q2)
         assert not zero
+
+    def test_mod2_residue(self):
+        theta = IntMatrix([[1, -1, 0, 0], [0, 0, 3, 1]])
+        assert mod2_residue(theta, [3, 1, 2, 0])[0] == 0  # row 1 mod 2
+        assert mod2_residue(theta, [1, 1, 1, 1])[0] == 0  # sum of rows
+        residue, pivots = mod2_residue(theta, [1, 0, 0, 0])
+        assert residue == 0b0001 and pivots == [1, 3]
 
 
 class TestFaceRing:

@@ -163,6 +163,15 @@ class TestSearchFree:
         assert obj["found"]
         assert "bounded evidence" in obj["note"]
 
+    def test_negative_k_is_input_error(self, capsys, tmp_path):
+        cpath = tmp_path / "tri.json"
+        cpath.write_text(json.dumps(boundary_of_simplex(2).to_json()))
+        assert main(["search-free", "--complex", str(cpath),
+                     "--k", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "k must be >= 0" in err
+        assert "repeat argument" not in err
+
 
 class TestGlobalFlags:
     def test_json_out_and_quiet(self, capsys, tmp_path):
@@ -181,6 +190,14 @@ class TestGlobalFlags:
 
     def test_missing_file_is_input_error(self):
         assert main(["check-manifold", "--complex", "/nope.json"]) == 2
+
+    def test_unexpected_exception_is_internal_error(self, capsys, tmp_path):
+        # json reads 1e400 as inf; int(inf) raises OverflowError, which
+        # must not exit 1 (a negative verdict).
+        path = tmp_path / "theta.json"
+        path.write_text('{"rows": 1, "cols": 2, "data": [[1e400, 0]]}')
+        assert main(["w2", "--theta", str(path)]) == 3
+        assert "internal error: OverflowError" in capsys.readouterr().err
 
 
 class TestVerifyExample:

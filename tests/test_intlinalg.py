@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from momentangle.intlinalg import (IntMatrix, RatMatrix, cokernel,
+from momentangle.intlinalg import (IntMatrix, cokernel,
                                    complete_to_unimodular, det,
                                    hermite_normal_form, image_contains,
-                                   is_primitive_rows, kernel_lattice,
+                                   is_primitive_cols, is_primitive_rows,
+                                   kernel_lattice,
                                    rank_mod2, rank_rational,
                                    row_lattice_equal, smith,
                                    sparse_invariant_factors)
@@ -171,6 +172,40 @@ class TestPrimitive:
     def test_rank_deficient(self):
         assert not is_primitive_rows(IntMatrix([[1, 1], [2, 2]]))
 
+    @staticmethod
+    def smith_reference(A):
+        sd = smith(A)
+        return sd.rank == A.rows and all(d == 1 for d in sd.invariant_factors)
+
+    def check(self, A):
+        want = self.smith_reference(A)
+        assert is_primitive_rows(A) == want, A
+        assert is_primitive_cols(A.rows, A.transpose().data) == want, A
+
+    def test_edge_shapes_against_smith(self):
+        for A in [IntMatrix.zero(0, 3), IntMatrix.zero(0, 0),
+                  IntMatrix.zero(2, 0), IntMatrix.zero(1, 3),
+                  IntMatrix([[2, 0]]), IntMatrix([[2, 4], [1, 3]]),
+                  IntMatrix([[1, 1], [2, 2]]), IntMatrix([[1, 0], [0, 1],
+                                                          [1, 1]]),
+                  IntMatrix([[-1, 0, 0]]), IntMatrix([[2, 3]])]:
+            self.check(A)
+        assert is_primitive_cols(0, [(), ()])
+        assert is_primitive_cols(0, [])
+        assert not is_primitive_cols(2, [])
+        assert not is_primitive_cols(1, [(2,), (4,)])
+        assert is_primitive_cols(1, [(2,), (3,)])
+
+    def test_random_against_smith(self):
+        rng = random.Random(2718)
+        hits = 0
+        for _ in range(600):
+            A = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 6),
+                              -2, 2)
+            self.check(A)
+            hits += self.smith_reference(A)
+        assert 0 < hits < 600  # both answers are exercised
+
 
 class TestCompletion:
     def test_block_identity(self):
@@ -260,16 +295,6 @@ class TestMod2:
     def test_rank_mod2(self):
         assert rank_mod2(IntMatrix([[2, 4], [1, 1]])) == 1
         assert rank_mod2(IntMatrix.identity(4)) == 4
-
-
-class TestRatMatrix:
-    def test_clear_denominators(self):
-        M = RatMatrix([["1/2", "1/3"], ["2", "0"]])
-        assert M.clear_denominators() == IntMatrix([[3, 2], [2, 0]])
-
-    def test_json_roundtrip(self):
-        M = RatMatrix([["1/2", "-3"]])
-        assert RatMatrix.from_json(M.to_json()) == M
 
 
 class TestJson:

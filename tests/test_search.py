@@ -19,6 +19,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(k=1, entry_set=(0, 1), mode="full")
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            SearchConfig(k=-1, entry_set=(0, 1))
+
+    def test_k_zero_finds_trivial_torus_once(self):
+        K = boundary_of_simplex(2)
+        for cfg in (SearchConfig(k=0, entry_set=(-1, 0, 1)),
+                    SearchConfig(k=0, entry_set=(0, 1), mode="random",
+                                 seed=1, samples=5)):
+            res = search_free(K, cfg)
+            assert len(res.found) == 1
+            assert (res.found[0].k, res.found[0].m) == (0, 3)
+
 
 class TestExhaustive:
     def test_circles_on_triangle_boundary(self):

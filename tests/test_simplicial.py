@@ -73,6 +73,14 @@ class TestPredicates:
         assert K.has_face((1, 2))
         assert not K.has_face((1, 2, 3))
 
+    def test_facet_complements_in_facet_order(self):
+        K = new_complex(5, [(1, 2), (2, 3), (1, 3)])  # 4 and 5 are ghosts
+        assert K.facets == ((1, 2), (1, 3), (2, 3))
+        assert K.facet_complements() == [(3, 4, 5), (2, 4, 5), (1, 4, 5)]
+        assert boundary_of_simplex(0).facet_complements() == []
+        for sigma, comp in zip(K.facets, K.facet_complements()):
+            assert sorted(sigma + comp) == list(range(1, K.m + 1))
+
 
 class TestFaces:
     def test_faces_of_dim(self):
