@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -65,7 +66,12 @@ def _emit(args, payload):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
     if not args.quiet:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # reader gone; the verdict stands
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
 
 
 # -- subcommands ------------------------------------------------------------
@@ -180,8 +186,7 @@ def cmd_search_free(args):
     K = _load_complex(args.complex)
     entries = tuple(int(x) for x in args.entries.split(","))
     cfg = SearchConfig(k=args.k, entry_set=entries, mode=args.mode,
-                       seed=args.seed, samples=args.samples,
-                       prune=not args.no_prune, ceiling=args.ceiling)
+                       seed=args.seed, samples=args.samples)
     res = search_free(K, cfg)
     payload = res.to_json()
     payload["verdict"] = bool(res.found)
@@ -264,8 +269,6 @@ def build_parser():
     p.add_argument("--mode", choices=("exhaustive", "random"),
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--ceiling", type=int, default=10_000_000)
     p.set_defaults(func=cmd_search_free)
 
     return parser

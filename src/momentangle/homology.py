@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import IntMatrix, sparse_invariant_factors
+from .intlinalg import IntMatrix, InternalError, sparse_invariant_factors
 from .simplicial import SimplicialComplex
 
 
@@ -25,14 +25,6 @@ class ChainComplexData:
     """
 
     boundaries: tuple
-
-
-class InternalError(AssertionError):
-    """An internal postcondition failed.
-
-    Raised by an explicit check, so it also fires under ``python -O``; an
-    AssertionError, so the command line maps it to exit code 3.
-    """
 
 
 def _check_boundary_squared_zero(lower, upper):

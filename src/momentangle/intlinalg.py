@@ -9,19 +9,32 @@ primitivity, unimodular completions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+
+class InternalError(AssertionError):
+    """An internal postcondition failed.
+
+    Raised by an explicit check, so it also fires under ``python -O``; an
+    AssertionError, so the command line maps it to exit code 3.
+    """
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, row-major."""
+    """Immutable dense integer matrix, row-major, of exact ints only (a
+    float or a bool raises TypeError instead of being rounded)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, rows=None, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(map(tuple, data))
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
+        for x in chain((rows, cols), *data):
+            if type(x) is not int:
+                raise TypeError(f"matrix value {x!r} is not an exact integer")
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("ragged or mis-shaped matrix data")
         object.__setattr__(self, "rows", rows)
@@ -58,17 +71,6 @@ class IntMatrix:
              for row in self.data],
             rows=self.rows, cols=other.cols)
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix sum")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                         rows=self.rows, cols=self.cols)
-
-    def __neg__(self):
-        return IntMatrix([[-a for a in r] for r in self.data],
-                         rows=self.rows, cols=self.cols)
-
     def transpose(self):
         return IntMatrix([[row[i] for row in self.data]
                           for i in range(self.cols)],
@@ -92,10 +94,6 @@ class IntMatrix:
         return IntMatrix(self.data + other.data,
                          rows=self.rows + other.rows, cols=self.cols)
 
-    def mod(self, p):
-        return IntMatrix([[a % p for a in row] for row in self.data],
-                         rows=self.rows, cols=self.cols)
-
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols,
                 "data": [list(r) for r in self.data]}
@@ -105,35 +103,13 @@ class IntMatrix:
         return cls(obj["data"], rows=obj["rows"], cols=obj["cols"])
 
 
-def det(A):
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = [list(row) for row in A.data]
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for cc in range(c + 1, n):
-                M[r][cc] = (M[r][cc] * M[c][c] - M[r][c] * M[c][cc]) // prev
-            M[r][c] = 0
-        prev = M[c][c]
-    return sign * M[n - 1][n - 1]
-
-
-def rank_rational(A):
-    """Rank over Q via fraction-free (Bareiss) echelon reduction."""
+def _bareiss(A):
+    """Fraction-free (Bareiss) echelon reduction of A: (rank over Q, last
+    pivot times the sign of the row swaps), the latter det(A) for square A
+    of full rank."""
     M = [list(row) for row in A.data]
     rank = 0
+    sign = 1
     prev = 1
     for c in range(A.cols):
         piv = next((r for r in range(rank, A.rows) if M[r][c]), None)
@@ -141,13 +117,27 @@ def rank_rational(A):
             continue
         if piv != rank:
             M[rank], M[piv] = M[piv], M[rank]
+            sign = -sign
         for r in range(rank + 1, A.rows):
             for cc in range(c + 1, A.cols):
                 M[r][cc] = (M[r][cc] * M[rank][c] - M[r][c] * M[rank][cc]) // prev
             M[r][c] = 0
         prev = M[rank][c]
         rank += 1
-    return rank
+    return rank, sign * prev
+
+
+def det(A):
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of a non-square matrix")
+    rank, last = _bareiss(A)
+    return last if rank == A.rows else 0
+
+
+def rank_rational(A):
+    """Rank over Q via fraction-free (Bareiss) echelon reduction."""
+    return _bareiss(A)[0]
 
 
 @dataclass(frozen=True)
@@ -372,8 +362,10 @@ def complete_to_unimodular(A):
     prod = A @ M
     expected = IntMatrix([[int(i == j) for j in range(m)] for i in range(k)],
                          rows=k, cols=m)
-    assert prod == expected, "unimodular completion postcondition failed"
-    assert det(M) in (1, -1), "completion matrix is not unimodular"
+    if prod != expected:
+        raise InternalError("unimodular completion postcondition failed")
+    if det(M) not in (1, -1):
+        raise InternalError("completion matrix is not unimodular")
     return M
 
 

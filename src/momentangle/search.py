@@ -1,11 +1,11 @@
 """Bounded search for freely acting subtori.
 
-Candidates are k x m matrices over a finite entry set.  Exhaustive mode
-builds them column by column and prunes any prefix that already violates
-a facet constraint (every facet whose complement lies inside the chosen
-columns must give an injective submatrix).  Results are deduplicated by
-the Hermite normal form of the row lattice, so GL_k(Z)-equivalent
-candidates count once.
+Candidates are k x m matrices over a finite entry set.  Freeness comes
+from torus.first_unfree, the test behind acts_freely.  Exhaustive mode
+builds candidates column by column and checks each facet complement once
+its last column is chosen, pruning the prefix if it fails.  Results are
+deduplicated by the Hermite normal form of the row lattice, so
+GL_k(Z)-equivalent candidates count once.
 
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .intlinalg import IntMatrix, hermite_normal_form, is_primitive_cols
+from .intlinalg import IntMatrix, hermite_normal_form
 from .simplicial import SimplicialComplex
-from .torus import PreconditionError, Subtorus
+from .torus import PreconditionError, Subtorus, first_unfree
 
 BOUNDED_EVIDENCE = ("bounded evidence: search covered the stated entry set "
                     "only; a negative result is not a proof")
@@ -35,8 +35,6 @@ class SearchConfig:
     mode: str = "exhaustive"          # "exhaustive" | "random"
     seed: Optional[int] = None
     samples: int = 0
-    prune: bool = True
-    ceiling: int = 10_000_000
 
     def __post_init__(self):
         if self.k < 0:
@@ -64,13 +62,6 @@ class SearchResult:
                 "note": self.note}
 
 
-def _constraints_by_depth(comps):
-    by_depth = {}
-    for comp in comps:
-        by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
-    return by_depth
-
-
 def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     """Find subtori of dimension cfg.k acting freely on Z_K, over the
     configured entry set."""
@@ -80,11 +71,12 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     k = cfg.k
     result = SearchResult()
     seen = set()
-    comps = K.facet_complements()
+    # Passing one constraint makes all m columns span Z^k, so record needs
+    # no primitivity test.  Without facets the empty face is maximal.
+    comps = K.facet_complements() or [tuple(range(1, m + 1))]
 
     def record(columns):
-        if not is_primitive_cols(k, columns):
-            return
+        result.complete_candidates += 1
         key = hermite_normal_form(
             IntMatrix([[col[i] for col in columns] for i in range(k)],
                       rows=k, cols=m))
@@ -93,10 +85,6 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         seen.add(key)
         result.found.append(Subtorus(key))
 
-    def passes_all(columns):
-        return all(is_primitive_cols(k, [columns[j - 1] for j in comp])
-                   for comp in comps)
-
     if cfg.mode == "random":
         rng = random.Random(cfg.seed)
         for _ in range(cfg.samples):
@@ -104,29 +92,21 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
                     for _ in range(k)]
             columns = [tuple(row[j] for row in rows) for j in range(m)]
             result.explored += 1
-            if passes_all(columns):
-                result.complete_candidates += 1
+            if first_unfree(k, columns, comps) is None:
                 record(columns)
         return result
 
-    raw = len(cfg.entry_set) ** (k * m)
-    if not cfg.prune and raw > cfg.ceiling:
-        raise ValueError(
-            f"{raw} raw candidates exceed the ceiling {cfg.ceiling}; "
-            "enable pruning")
-    by_depth = _constraints_by_depth(comps)
+    by_depth = {}  # last column -> constraints; 0 for an empty complement
+    for comp in comps:
+        by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
     column_choices = list(product(cfg.entry_set, repeat=k))
 
     def dfs(columns):
         depth = len(columns)
-        if cfg.prune and depth > 0:
-            for comp in by_depth.get(depth, ()):
-                if not is_primitive_cols(k, [columns[j - 1] for j in comp]):
-                    return
+        if first_unfree(k, columns, by_depth.get(depth, ())) is not None:
+            return
         if depth == m:
-            if cfg.prune or passes_all(columns):
-                result.complete_candidates += 1
-                record(columns)
+            record(columns)
             return
         for col in column_choices:
             result.explored += 1

@@ -17,16 +17,20 @@ class SimplicialComplex:
     __slots__ = ("m", "facets")
 
     def __init__(self, m, faces):
-        m = int(m)
+        # Exact ints only: a float or a bool is an error, never rounded.
+        if type(m) is not int:
+            raise TypeError(f"vertex count {m!r} is not an exact integer")
         if m <= 0:
             raise ValueError("vertex count must be positive")
         cleaned = set()
         for face in faces:
-            face = tuple(sorted(set(int(v) for v in face)))
+            face = tuple(face)
             for v in face:
+                if type(v) is not int:
+                    raise TypeError(f"vertex {v!r} is not an exact integer")
                 if not 1 <= v <= m:
                     raise ValueError(f"vertex {v} out of range 1..{m}")
-            cleaned.add(face)
+            cleaned.add(tuple(sorted(set(face))))
         cleaned.discard(())
         facets = [f for f in cleaned
                   if not any(f != g and set(f) <= set(g) for g in cleaned)]

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import (IntMatrix, complete_to_unimodular, det,
-                        hermite_normal_form, is_primitive_cols,
+from .intlinalg import (IntMatrix, InternalError, complete_to_unimodular,
+                        det, hermite_normal_form, is_primitive_cols,
                         is_primitive_rows, kernel_lattice, rank_rational,
                         row_lattice_equal)
 from .simplicial import SimplicialComplex
@@ -97,14 +97,21 @@ def _check_action_input(T: Subtorus, K: SimplicialComplex):
             "requires purity")
 
 
+def first_unfree(k, columns, comps):
+    """Index of the first label set in comps (1-based, into the length-k
+    columns) whose columns are not primitive, or None: the one freeness
+    test, free on Z_K when comps are K's facet complements."""
+    for i, comp in enumerate(comps):
+        if not is_primitive_cols(k, [columns[j - 1] for j in comp]):
+            return i
+    return None
+
+
 def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:
     """Free action test, one submatrix check per facet."""
     _check_action_input(T, K)
-    cols = T.matrix.transpose().data
-    for sigma, comp in zip(K.facets, K.facet_complements()):
-        if not is_primitive_cols(T.k, [cols[j - 1] for j in comp]):
-            return FreenessResult(False, sigma)
-    return FreenessResult(True, None)
+    i = first_unfree(T.k, T.matrix.transpose().data, K.facet_complements())
+    return FreenessResult(i is None, None if i is None else K.facets[i])
 
 
 def acts_almost_freely(T: Subtorus, K: SimplicialComplex) -> bool:
@@ -225,7 +232,8 @@ def quotient_projection(T: Subtorus) -> IntMatrix:
     """(m-k) x m matrix presenting T^m -> T^m/T, with T as exact kernel.
 
     Rows are the last m-k columns of the unimodular completion M with
-    A M = [I_k | 0]; postconditions are asserted on every call.
+    A M = [I_k | 0]; postconditions are checked on every call and raise
+    InternalError.
     """
     m, k = T.m, T.k
     if k == 0:
@@ -233,7 +241,10 @@ def quotient_projection(T: Subtorus) -> IntMatrix:
     M = complete_to_unimodular(T.matrix)
     theta = IntMatrix([[M.data[i][j] for i in range(m)]
                        for j in range(k, m)], rows=m - k, cols=m)
-    assert (theta @ T.matrix.transpose()).is_zero()
-    assert is_primitive_rows(theta)
-    assert row_lattice_equal(kernel_lattice(theta), T.matrix)
+    if not (theta @ T.matrix.transpose()).is_zero():
+        raise InternalError("quotient projection does not kill the torus")
+    if not is_primitive_rows(theta):
+        raise InternalError("quotient projection rows are not primitive")
+    if not row_lattice_equal(kernel_lattice(theta), T.matrix):
+        raise InternalError("quotient projection kernel is not the torus")
     return theta

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import momentangle
+from momentangle import cli
 from momentangle.cli import main
 from momentangle.intlinalg import IntMatrix
 from momentangle.simplicial import boundary_of_simplex, cyclic_polytope_boundary
@@ -27,6 +32,11 @@ def theta_file(tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(cyclic69_quotient_matrix().to_json()))
     return str(path)
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(momentangle.__file__))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def run_json(capsys, argv):
@@ -191,13 +201,78 @@ class TestGlobalFlags:
     def test_missing_file_is_input_error(self):
         assert main(["check-manifold", "--complex", "/nope.json"]) == 2
 
-    def test_unexpected_exception_is_internal_error(self, capsys, tmp_path):
-        # json reads 1e400 as inf; int(inf) raises OverflowError, which
-        # must not exit 1 (a negative verdict).
+    def test_unexpected_exception_is_internal_error(self, capsys,
+                                                   monkeypatch):
+        # A crash must not exit 1, which reads as a negative verdict.
+        def boom(n, m):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cyclic_polytope_boundary", boom)
+        assert main(["facets-cyclic", "2", "4"]) == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    def test_closed_stdout_keeps_the_verdict(self, c69_file):
+        # A reader that went away (`... | head -0`) is not an internal
+        # error: the verdict was computed, so its exit code stands.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentangle.cli", "check-manifold",
+                 "--complex", c69_file],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=_src_env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "internal error" not in proc.stderr
+
+
+class TestExactIntegerInput:
+    """JSON numbers must be exact ints; anything else is an input error
+    (exit 2), never rounded into a verdict."""
+
+    def _check_free(self, tmp_path, complex_json, torus_json):
+        cpath = tmp_path / "K.json"
+        cpath.write_text(complex_json)
+        tpath = tmp_path / "T.json"
+        tpath.write_text(torus_json)
+        return main(["check-free", "--complex", str(cpath),
+                     "--torus", str(tpath)])
+
+    def test_float_vertex(self, capsys, tmp_path):
+        assert self._check_free(tmp_path,
+                                '{"m": 3, "facets": [[1, 2.7], [2, 3]]}',
+                                '{"m": 3, "rows": [[1, 1, 1]]}') == 2
+        assert "vertex 2.7 is not an exact integer" in capsys.readouterr().err
+
+    def test_float_torus_entry(self, capsys, tmp_path):
+        K = json.dumps(boundary_of_simplex(2).to_json())
+        assert self._check_free(tmp_path, K,
+                                '{"m": 3, "rows": [[1, 1, 1.9]]}') == 2
+        assert "value 1.9 is not an exact integer" in capsys.readouterr().err
+
+    def test_bool_values(self, capsys, tmp_path):
+        K = json.dumps(boundary_of_simplex(2).to_json())
+        assert self._check_free(tmp_path, K,
+                                '{"m": 3, "rows": [[true, 1, 1]]}') == 2
+        assert self._check_free(tmp_path,
+                                '{"m": true, "facets": [[1]]}',
+                                '{"m": 1, "rows": [[1]]}') == 2
+        assert self._check_free(tmp_path,
+                                '{"m": 3, "facets": [[1, true], [2, 3]]}',
+                                '{"m": 3, "rows": [[1, 1, 1]]}') == 2
+        err = capsys.readouterr().err
+        assert "True is not an exact integer" in err
+
+    def test_overflowing_entry(self, capsys, tmp_path):
+        # json reads 1e400 as inf.
         path = tmp_path / "theta.json"
         path.write_text('{"rows": 1, "cols": 2, "data": [[1e400, 0]]}')
-        assert main(["w2", "--theta", str(path)]) == 3
-        assert "internal error: OverflowError" in capsys.readouterr().err
+        assert main(["w2", "--theta", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "value inf is not an exact integer" in err
+        assert "internal error" not in err
 
 
 class TestVerifyExample:

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import momentangle
 from momentangle.intlinalg import (IntMatrix, cokernel,
                                    complete_to_unimodular, det,
                                    hermite_normal_form, image_contains,
@@ -135,6 +139,24 @@ class TestDetRank:
         assert rank_rational(IntMatrix([[1, 2], [2, 4]])) == 1
         assert rank_rational(IntMatrix.zero(3, 3)) == 0
 
+    def test_sympy_cross_check(self):
+        # det and rank_rational share one Bareiss elimination; check both
+        # against sympy on every shape from 0 x 0 to 6 x 6, with sparse
+        # and repeated rows so that singular cases are common.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        for trial in range(600):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            pool = (-3, -1, 0, 0, 0, 1, 2, 7) if trial % 2 else range(-9, 10)
+            rows = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+            if r > 1 and trial % 3 == 0:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+            A = IntMatrix(rows, rows=r, cols=c)
+            S = sympy.Matrix(r, c, [a for row in rows for a in row])
+            assert rank_rational(A) == S.rank(), rows
+            if r == c:
+                assert det(A) == S.det(), rows
+
     def test_submatrix_cols(self):
         A = IntMatrix([[1, 2, 3], [4, 5, 6]])
         assert A.submatrix_cols((3, 1)) == IntMatrix([[3, 1], [6, 4]])
@@ -235,6 +257,38 @@ class TestCompletion:
             done += 1
 
 
+    def test_postconditions_survive_python_O(self):
+        # Forced failures of complete_to_unimodular's and
+        # quotient_projection's postconditions must raise InternalError
+        # with asserts stripped.
+        script = (
+            "import momentangle.intlinalg as il\n"
+            "import momentangle.torus as t\n"
+            "assert False, 'asserts are live'\n"
+            "A = il.IntMatrix([[1, 1, 0]])\n"
+            "il.det = lambda M: 2\n"
+            "try:\n"
+            "    il.complete_to_unimodular(A)\n"
+            "    raise SystemExit('no raise from complete_to_unimodular')\n"
+            "except il.InternalError as exc:\n"
+            "    print(exc)\n"
+            "il.det = lambda M: 1\n"
+            "t.row_lattice_equal = lambda X, Y: False\n"
+            "try:\n"
+            "    t.quotient_projection(t.Subtorus(A))\n"
+            "    raise SystemExit('no raise from quotient_projection')\n"
+            "except il.InternalError as exc:\n"
+            "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(momentangle.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.splitlines() == [
+            "completion matrix is not unimodular",
+            "quotient projection kernel is not the torus"]
+
+
 class TestCokernel:
     def test_z_mod_2(self):
         pres = cokernel(IntMatrix([[2]]))
@@ -295,6 +349,15 @@ class TestMod2:
     def test_rank_mod2(self):
         assert rank_mod2(IntMatrix([[2, 4], [1, 1]])) == 1
         assert rank_mod2(IntMatrix.identity(4)) == 4
+
+
+class TestExactEntries:
+    def test_inexact_values_rejected(self):
+        for bad in (2.0, 2.7, True, float("inf"), "1"):
+            with pytest.raises(TypeError, match="not an exact integer"):
+                IntMatrix([[1, bad]])
+        with pytest.raises(TypeError, match="value 2.0 is not"):
+            IntMatrix([[1, 2]], rows=1, cols=2.0)
 
 
 class TestJson:

@@ -1,9 +1,35 @@
+from itertools import product
+
 import pytest
 
 from momentangle.intlinalg import IntMatrix, hermite_normal_form
 from momentangle.search import SearchConfig, search_free
 from momentangle.simplicial import boundary_of_simplex, new_complex
-from momentangle.torus import PreconditionError
+from momentangle.torus import PreconditionError, Subtorus, acts_freely
+
+ORACLE_COMPLEXES = [
+    boundary_of_simplex(2),
+    boundary_of_simplex(3),
+    new_complex(3, [(1, 2, 3)]),                  # full simplex
+    new_complex(4, [(1, 2), (2, 3), (1, 3)]),     # ghost vertex 4
+    new_complex(4, [(1, 2), (3, 4)]),
+    new_complex(2, []),                           # no facets
+]
+
+
+def free_lattices(K, k, entries):
+    """Row-lattice keys of every k x m matrix over entries that is a
+    Subtorus acting freely on Z_K."""
+    keys = set()
+    for flat in product(entries, repeat=k * K.m):
+        rows = [flat[i * K.m:(i + 1) * K.m] for i in range(k)]
+        try:
+            T = Subtorus(IntMatrix(rows, rows=k, cols=K.m))
+        except ValueError:
+            continue
+        if acts_freely(T, K):
+            keys.add(T.row_lattice_key())
+    return keys
 
 
 class TestConfig:
@@ -42,19 +68,32 @@ class TestExhaustive:
         # Coordinate circles fix points and must not appear.
         assert hermite_normal_form(IntMatrix([[1, 0, 0]])) not in keys
 
-    def test_prune_matches_no_prune(self):
-        K = boundary_of_simplex(2)
-        pruned = search_free(K, SearchConfig(k=1, entry_set=(0, 1)))
-        full = search_free(K, SearchConfig(k=1, entry_set=(0, 1),
-                                           prune=False))
-        assert ({t.row_lattice_key() for t in pruned.found}
-                == {t.row_lattice_key() for t in full.found})
+    def test_found_set_matches_acts_freely_oracle(self):
+        # Brute force: every primitive candidate over the entry set that
+        # acts_freely accepts, up to row lattice.  Random mode may miss
+        # some but must find nothing else.
+        for K in ORACLE_COMPLEXES:
+            for entries in ((0, 1), (-1, 0, 1)):
+                for k in (0, 1, 2):
+                    expected = free_lattices(K, k, entries)
+                    res = search_free(K, SearchConfig(k=k, entry_set=entries))
+                    keys = [t.row_lattice_key() for t in res.found]
+                    assert len(keys) == len(set(keys))
+                    assert set(keys) == expected, (K, entries, k)
+                    rand = search_free(K, SearchConfig(
+                        k=k, entry_set=entries, mode="random", seed=k,
+                        samples=200))
+                    assert ({t.row_lattice_key() for t in rand.found}
+                            <= expected), (K, entries, k)
 
-    def test_ceiling_enforced_without_prune(self):
-        K = boundary_of_simplex(2)
-        with pytest.raises(ValueError):
-            search_free(K, SearchConfig(k=2, entry_set=(0, 1), prune=False,
-                                        ceiling=10))
+    def test_full_simplex_has_no_free_circle(self):
+        # Z_K = D^6 has a fixed point, so no circle acts freely; the empty
+        # facet complement must be checked at the root of the search.
+        K = new_complex(3, [(1, 2, 3)])
+        for entries in ((0, 1), (-1, 0, 1)):
+            res = search_free(K, SearchConfig(k=1, entry_set=entries))
+            assert res.found == []
+            assert res.explored == 0
 
     def test_dedup_by_row_lattice(self):
         K = boundary_of_simplex(2)
