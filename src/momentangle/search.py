@@ -1,9 +1,13 @@
 """Bounded search for freely acting subtori.
 
-Candidates are k x m matrices over a finite entry set.  Freeness comes
-from torus.first_unfree, the test behind acts_freely.  Exhaustive mode
-builds candidates column by column and checks each facet complement once
-its last column is chosen, pruning the prefix if it fails.  Results are
+Candidates are k x m matrices over a finite entry set of distinct
+values.  Freeness comes from torus.first_unfree, the test behind
+acts_freely.  Exhaustive mode builds candidates column by column and
+checks each facet complement once its last column is chosen, pruning the
+prefix if it fails; random mode draws cfg.samples >= 1 candidates.  Each
+search_free call owns one memo of that test, keyed on the set of
+distinct columns of a complement, so the test runs once per column set
+however often the set recurs; the memo ends with the call.  Results are
 deduplicated by the Hermite normal form of the row lattice, so
 GL_k(Z)-equivalent candidates count once.
 
@@ -42,10 +46,18 @@ class SearchConfig:
                 f"subtorus dimension k must be >= 0, got {self.k}")
         if not self.entry_set:
             raise ValueError("entry set must be nonempty")
+        if len(set(self.entry_set)) != len(self.entry_set):
+            repeated = next(x for i, x in enumerate(self.entry_set)
+                            if x in self.entry_set[:i])
+            raise ValueError(
+                f"entry set must hold distinct values; {repeated} repeats")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.mode == "random" and self.seed is None:
             raise ValueError("random mode requires an explicit seed")
+        if self.mode == "random" and self.samples < 1:
+            raise ValueError(
+                f"random mode requires samples >= 1, got {self.samples}")
 
 
 @dataclass
@@ -71,6 +83,7 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     k = cfg.k
     result = SearchResult()
     seen = set()
+    memo = {}  # frozenset of a complement's columns -> primitive?
     # Passing one constraint makes all m columns span Z^k, so record needs
     # no primitivity test.  Without facets the empty face is maximal.
     comps = K.facet_complements() or [tuple(range(1, m + 1))]
@@ -92,7 +105,7 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
                     for _ in range(k)]
             columns = [tuple(row[j] for row in rows) for j in range(m)]
             result.explored += 1
-            if first_unfree(k, columns, comps) is None:
+            if first_unfree(k, columns, comps, memo) is None:
                 record(columns)
         return result
 
@@ -103,7 +116,8 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
 
     def dfs(columns):
         depth = len(columns)
-        if first_unfree(k, columns, by_depth.get(depth, ())) is not None:
+        if first_unfree(k, columns, by_depth.get(depth, ()),
+                        memo) is not None:
             return
         if depth == m:
             record(columns)

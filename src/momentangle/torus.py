@@ -97,12 +97,36 @@ def _check_action_input(T: Subtorus, K: SimplicialComplex):
             "requires purity")
 
 
-def first_unfree(k, columns, comps):
+# A memo entry costs about 450 bytes.  In a long random search over a wide
+# entry set nearly every column set is new, so without a cap the memo would
+# grow with the run time.  The cap holds it near 30 MB; the exhaustive
+# searches of the boundary of C_6(9) need at most 92 entries.
+FREENESS_MEMO_LIMIT = 1 << 16
+
+
+def first_unfree(k, columns, comps, memo=None):
     """Index of the first label set in comps (1-based, into the length-k
     columns) whose columns are not primitive, or None: the one freeness
-    test, free on Z_K when comps are K's facet complements."""
+    test, free on Z_K when comps are K's facet complements.
+
+    memo maps frozenset(columns of a complement) to is_primitive_cols(k,
+    ...) for this one k; a caller testing many candidates passes one dict
+    to every call, and a fresh dict is used when it is None.  It stops
+    growing at FREENESS_MEMO_LIMIT entries.  The key is exact: rank k
+    with every invariant factor 1 means the columns generate Z^k, which
+    depends only on the set of distinct columns, not on their order or
+    multiplicity."""
+    if memo is None:
+        memo = {}
     for i, comp in enumerate(comps):
-        if not is_primitive_cols(k, [columns[j - 1] for j in comp]):
+        cols = [columns[j - 1] for j in comp]
+        key = frozenset(cols)
+        free = memo.get(key)
+        if free is None:
+            free = is_primitive_cols(k, cols)
+            if len(memo) < FREENESS_MEMO_LIMIT:
+                memo[key] = free
+        if not free:
             return i
     return None
 

@@ -182,6 +182,22 @@ class TestSearchFree:
         assert "k must be >= 0" in err
         assert "repeat argument" not in err
 
+    def test_random_mode_without_samples_is_input_error(self, capsys,
+                                                        c69_file):
+        # Zero samples is no evidence, so it must not answer "false".
+        assert main(["--seed", "1", "search-free", "--complex", c69_file,
+                     "--k", "2", "--mode", "random"]) == 2
+        captured = capsys.readouterr()
+        assert "samples >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_entry_is_input_error(self, capsys, tmp_path):
+        cpath = tmp_path / "tri.json"
+        cpath.write_text(json.dumps(boundary_of_simplex(2).to_json()))
+        assert main(["search-free", "--complex", str(cpath), "--k", "1",
+                     "--entries=0,1,-1,1"]) == 2
+        assert "1 repeats" in capsys.readouterr().err
+
 
 class TestGlobalFlags:
     def test_json_out_and_quiet(self, capsys, tmp_path):

@@ -228,6 +228,26 @@ class TestPrimitive:
             hits += self.smith_reference(A)
         assert 0 < hits < 600  # both answers are exercised
 
+    def test_depends_only_on_distinct_columns(self):
+        # The search memoizes is_primitive_cols on frozenset(columns).
+        rng = random.Random(1414)
+        hits = 0
+        for _ in range(600):
+            k = rng.randint(0, 4)
+            distinct = list({tuple(rng.randint(-2, 2) for _ in range(k))
+                             for _ in range(rng.randint(1, 5))})
+            cols = distinct + [rng.choice(distinct)
+                               for _ in range(rng.randint(1, 3))]
+            rng.shuffle(cols)
+            rng.shuffle(distinct)
+            A = IntMatrix([[c[i] for c in cols] for i in range(k)],
+                          rows=k, cols=len(cols))
+            want = self.smith_reference(A)
+            assert is_primitive_cols(k, cols) == want, cols
+            assert is_primitive_cols(k, distinct) == want, cols
+            hits += want
+        assert 0 < hits < 600
+
 
 class TestCompletion:
     def test_block_identity(self):

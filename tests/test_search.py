@@ -2,9 +2,11 @@ from itertools import product
 
 import pytest
 
+import momentangle.torus
 from momentangle.intlinalg import IntMatrix, hermite_normal_form
 from momentangle.search import SearchConfig, search_free
-from momentangle.simplicial import boundary_of_simplex, new_complex
+from momentangle.simplicial import (boundary_of_simplex,
+                                    cyclic_polytope_boundary, new_complex)
 from momentangle.torus import PreconditionError, Subtorus, acts_freely
 
 ORACLE_COMPLEXES = [
@@ -44,6 +46,16 @@ class TestConfig:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             SearchConfig(k=1, entry_set=(0, 1), mode="full")
+
+    def test_repeated_entry_rejected(self):
+        with pytest.raises(ValueError, match="-1 repeats"):
+            SearchConfig(k=1, entry_set=(0, -1, 1, -1))
+
+    def test_random_requires_samples(self):
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples >= 1"):
+                SearchConfig(k=1, entry_set=(0, 1), mode="random", seed=1,
+                             samples=samples)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -128,3 +140,36 @@ class TestRandom:
         a = search_free(K, cfg)
         b = search_free(K, cfg)
         assert ([t.matrix for t in a.found] == [t.matrix for t in b.found])
+
+
+class TestMemo:
+    """One search_free call tests each distinct facet-complement column
+    set once, and no memo state outlives the call."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = momentangle.torus.is_primitive_cols
+
+        def counting(k, columns):
+            calls.append(None)
+            return real(k, columns)
+
+        monkeypatch.setattr(momentangle.torus, "is_primitive_cols",
+                            counting)
+
+        def run(K, cfg):
+            del calls[:]
+            search_free(K, cfg)
+            return len(calls)
+        return run
+
+    def test_evaluation_counts_on_c69(self, evaluations):
+        K = cyclic_polytope_boundary(6, 9)
+        for cfg, want in [
+                (SearchConfig(k=3, entry_set=(0, 1)), 92),
+                (SearchConfig(k=2, entry_set=(0, 1)), 14),
+                (SearchConfig(k=2, entry_set=(-1, 0, 1), mode="random",
+                              seed=111985490, samples=2000), 129)]:
+            assert evaluations(K, cfg) == want, cfg
+            assert evaluations(K, cfg) == want, cfg

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import momentangle.torus
 from momentangle.intlinalg import (IntMatrix, hermite_normal_form,
                                    kernel_lattice, row_lattice_equal)
 from momentangle.simplicial import (boundary_of_simplex,
@@ -11,7 +12,7 @@ from momentangle.torus import (PreconditionError, Subtorus,
                                characteristic_duality_holds,
                                cyclic69_free_subtorus,
                                cyclic69_quotient_matrix,
-                               extend_to_characteristic,
+                               extend_to_characteristic, first_unfree,
                                is_rational_characteristic,
                                quotient_projection, torus_from_kernel)
 
@@ -100,6 +101,18 @@ class TestFreeness:
         for _ in range(20):
             G = random_unimodular(rng, 2)
             assert acts_freely(Subtorus(G @ T.matrix), K).free
+
+    def test_memo_is_capped_and_changes_no_answer(self, monkeypatch):
+        monkeypatch.setattr(momentangle.torus, "FREENESS_MEMO_LIMIT", 5)
+        comps = cyclic_polytope_boundary(6, 9).facet_complements()
+        rng = random.Random(8)
+        memo = {}
+        for _ in range(200):
+            columns = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                       for _ in range(9)]
+            assert (first_unfree(2, columns, comps, memo)
+                    == first_unfree(2, columns, comps))
+        assert len(memo) == 5
 
 
 class TestAlmostFreeness:
