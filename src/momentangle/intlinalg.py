@@ -483,7 +483,11 @@ def rref_mod2(bitrows):
     """Reduced row echelon form over GF(2).
 
     Returns (rows, pivots): reduced nonzero rows and their pivot bit
-    positions, both sorted by pivot position.
+    positions, both sorted by pivot position.  A pivot is a row's highest
+    bit.  The forward pass costs O(n r) row XORs for n input rows and
+    rank r.  The back-substitution costs one XOR per pivot bit set below
+    a row's own pivot, at most r (r - 1) / 2 and usually far fewer,
+    instead of testing all r^2 pivot/row pairs.
     """
     basis = {}  # pivot position -> row
     for row in bitrows:
@@ -494,13 +498,24 @@ def rref_mod2(bitrows):
             else:
                 basis[p] = row
                 break
-    # Back-substitute to full reduction.
-    for p in sorted(basis):
-        for q in list(basis):
-            if q != p and (basis[q] >> p) & 1:
-                basis[q] ^= basis[p]
     pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+    pivot_mask = 0
+    for p in pivots:
+        pivot_mask |= 1 << p
+    # Back-substitute in ascending pivot order.  The rows with lower
+    # pivots are already fully reduced, so each XOR clears exactly the
+    # pivot bit it is made for and sets no other pivot bit.
+    rows = []
+    for p in pivots:
+        row = basis[p]
+        below = row & pivot_mask & ~(1 << p)
+        while below:
+            q = below & -below
+            row ^= basis[q.bit_length() - 1]
+            below ^= q
+        basis[p] = row
+        rows.append(row)
+    return rows, pivots
 
 
 def rank_mod2(A):

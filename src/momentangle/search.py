@@ -32,7 +32,9 @@ BOUNDED_EVIDENCE = ("bounded evidence: search covered the stated entry set "
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search settings.  k = 0 is allowed: the trivial torus is found once."""
+    """Search settings.  k = 0 is allowed: the trivial torus is found once.
+    Random mode needs a seed and samples >= 1; exhaustive mode takes
+    neither."""
 
     k: int
     entry_set: tuple
@@ -58,6 +60,16 @@ class SearchConfig:
         if self.mode == "random" and self.samples < 1:
             raise ValueError(
                 f"random mode requires samples >= 1, got {self.samples}")
+        # Exhaustive mode draws nothing, so a sample count or a seed
+        # means the caller expected random mode.
+        if self.mode == "exhaustive" and self.samples != 0:
+            raise ValueError(
+                f"exhaustive mode takes no samples, got --samples "
+                f"{self.samples}; use --mode random to sample")
+        if self.mode == "exhaustive" and self.seed is not None:
+            raise ValueError(
+                f"exhaustive mode takes no seed, got --seed {self.seed}; "
+                f"use --mode random to sample")
 
 
 @dataclass

@@ -32,10 +32,23 @@ class SimplicialComplex:
                     raise ValueError(f"vertex {v} out of range 1..{m}")
             cleaned.add(tuple(sorted(set(face))))
         cleaned.discard(())
-        facets = [f for f in cleaned
-                  if not any(f != g and set(f) <= set(g) for g in cleaned)]
+        # A face can lie only inside a strictly larger face, so filter
+        # layer by layer from the largest size down: each face is tested
+        # against the facets already kept, and pure input needs no test.
+        layers = {}
+        for face in cleaned:
+            layers.setdefault(len(face), []).append(face)
+        facets = []
+        larger = []  # bitmasks of the kept facets of every larger size
+        for size in sorted(layers, reverse=True):
+            for face in layers[size]:
+                mask = _bitmask(face)
+                if not any(mask & ~g == 0 for g in larger):
+                    facets.append((face, mask))
+            larger = [mask for _, mask in facets]
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "facets", tuple(sorted(facets)))
+        object.__setattr__(self, "facets",
+                           tuple(sorted(face for face, _ in facets)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -120,23 +133,42 @@ class SimplicialComplex:
         return SimplicialComplex(len(labels), faces), labels
 
     def minimal_nonfaces(self):
-        """Inclusion-minimal non-faces (generators of the non-face ideal)."""
-        facet_masks = [sum(1 << (v - 1) for v in f) for f in self.facets]
-        found = []
-        out = []
-        # A minimal non-face has every proper subset a face, so its size
-        # is at most dim + 2.
-        for size in range(1, min(self.m, self.dimension + 2) + 1):
-            for cand in combinations(range(self.m), size):
-                mask = 0
-                for v in cand:
-                    mask |= 1 << v
-                if any(mask & ~fm == 0 for fm in facet_masks):
-                    continue  # a face
-                if any(mask & nf == nf for nf in found):
-                    continue  # contains a smaller non-face
-                found.append(mask)
-                out.append(tuple(v + 1 for v in cand))
+        """Inclusion-minimal non-faces (generators of the non-face ideal),
+        by size, then lexicographically.
+
+        A vertex set is a non-face exactly when it lies in no facet, that
+        is, when it meets every facet complement.  So the minimal
+        non-faces are the minimal transversals of facet_complements()
+        (Berge, Hypergraphs, 1989; Eiter and Gottlob, SIAM J. Comput.
+        1995), built here by Berge's sequential algorithm on bitmasks.
+        The work follows the transversals kept along the way, not the
+        number of vertex subsets.  A ghost vertex lies in every
+        complement, so it comes out as a singleton.
+        """
+        if not self.facets:
+            # Only the empty face: every vertex is a minimal non-face.
+            return [(v,) for v in range(1, self.m + 1)]
+        full = (1 << self.m) - 1
+        transversals = [0]  # minimal transversals of the edges so far
+        for edge in sorted(full & ~_bitmask(f) for f in self.facets):
+            hit = [t for t in transversals if t & edge]
+            grown = []
+            for t in transversals:
+                if t & edge:
+                    continue
+                rest = edge
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    grow = t | bit
+                    # Two grown sets never contain one another, so grow
+                    # is minimal unless it contains a kept transversal.
+                    if not any(h & ~grow == 0 for h in hit):
+                        grown.append(grow)
+            transversals = hit + grown
+        out = [tuple(v + 1 for v in range(self.m) if (t >> v) & 1)
+               for t in transversals]
+        out.sort(key=lambda nf: (len(nf), nf))
         return out
 
     def to_json(self):
@@ -158,28 +190,46 @@ def boundary_of_simplex(n):
     return SimplicialComplex(n + 1, combinations(range(1, n + 2), n))
 
 
-def _gale_even(subset, m):
-    # Evenness for consecutive non-elements implies it for all pairs,
-    # since any gap count is a sum of consecutive gap counts.
-    sset = set(subset)
-    comp = [i for i in range(1, m + 1) if i not in sset]
-    for a, b in zip(comp, comp[1:]):
-        if sum(1 for s in subset if a < s < b) % 2:
-            return False
-    return True
-
-
 def cyclic_polytope_boundary(n, m):
     """Boundary complex of the cyclic polytope with m vertices in dim n.
 
     Facets are the n-subsets of {1..m} passing Gale's evenness condition;
     the combinatorics does not depend on the defining parameter choices,
-    so no coordinates are ever computed.  Brute force over n-subsets —
-    intended for desk scale (m up to ~20).
+    so no coordinates are ever computed.  The subsets are generated
+    directly as runs of consecutive vertices (Ziegler, Lectures on
+    Polytopes, Thm 0.7): every run that contains neither 1 nor m has even
+    length.  Every branch of the generation ends in a facet, so the cost
+    is O(#facets * n), not C(m, n).
     """
     if n < 2:
         raise ValueError("polytope dimension must be >= 2")
     if m <= n:
         raise ValueError("need more vertices than the dimension")
-    facets = [s for s in combinations(range(1, m + 1), n) if _gale_even(s, m)]
+    facets = []
+
+    def runs(prefix, start, left):
+        # prefix holds the runs so far; start - 1 is outside the subset.
+        if left == 0:
+            facets.append(prefix)
+            return
+        # The last run ends at m and may have any length.
+        facets.append(prefix + tuple(range(m - left + 1, m + 1)))
+        # Any other run starts by m - left, which leaves room for a gap
+        # and the rest of the subset.  A run through 1 may have any
+        # length; every other one has even length.
+        for first in range(start, m - left + 1):
+            step = 1 if first == 1 else 2
+            for length in range(step, left + 1, step):
+                runs(prefix + tuple(range(first, first + length)),
+                     first + length + 1, left - length)
+
+    runs((), 1, n)
     return SimplicialComplex(m, facets)
+
+
+def _bitmask(face):
+    """Bit v - 1 set for each vertex v of face."""
+    mask = 0
+    for v in face:
+        mask |= 1 << (v - 1)
+    return mask

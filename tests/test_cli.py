@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,6 +59,14 @@ class TestFacetsCyclic:
 
     def test_bad_arguments(self, capsys):
         assert main(["facets-cyclic", "3", "3"]) == 2
+
+    def test_scales_with_the_output(self, capsys):
+        # The brute force over C(1000, 2) subsets ran for over a minute.
+        t0 = time.perf_counter()
+        code, obj = run_json(capsys, ["facets-cyclic", "2", "1000"])
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 0
+        assert len(obj["facets"]) == 1000
 
 
 class TestCheckManifold:
@@ -189,6 +198,23 @@ class TestSearchFree:
                      "--k", "2", "--mode", "random"]) == 2
         captured = capsys.readouterr()
         assert "samples >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_sampling_flags_in_exhaustive_mode_are_input_errors(
+            self, capsys, tmp_path):
+        # Exhaustive mode draws nothing: a sample count or a seed there
+        # used to be ignored, and the full search ran without a word.
+        cpath = tmp_path / "tri.json"
+        cpath.write_text(json.dumps(boundary_of_simplex(2).to_json()))
+        assert main(["search-free", "--complex", str(cpath), "--k", "1",
+                     "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--samples 5" in captured.err
+        assert captured.out == ""
+        assert main(["--seed", "3", "search-free", "--complex", str(cpath),
+                     "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed 3" in captured.err
         assert captured.out == ""
 
     def test_repeated_entry_is_input_error(self, capsys, tmp_path):

@@ -12,7 +12,7 @@ from momentangle.intlinalg import (IntMatrix, cokernel,
                                    is_primitive_cols, is_primitive_rows,
                                    kernel_lattice,
                                    rank_mod2, rank_rational,
-                                   row_lattice_equal, smith,
+                                   row_lattice_equal, rref_mod2, smith,
                                    sparse_invariant_factors)
 
 
@@ -365,10 +365,75 @@ class TestImageMembership:
         assert not image_contains(A, [1, 2])
 
 
+def quadratic_rref_mod2(bitrows):
+    """The former rref_mod2, whose back-substitution tests every pivot
+    against every row, kept as an oracle."""
+    basis = {}
+    for row in bitrows:
+        while row:
+            p = row.bit_length() - 1
+            if p in basis:
+                row ^= basis[p]
+            else:
+                basis[p] = row
+                break
+    for p in sorted(basis):
+        for q in list(basis):
+            if q != p and (basis[q] >> p) & 1:
+                basis[q] ^= basis[p]
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def gf2_span(bitrows):
+    span = {0}
+    for row in bitrows:
+        span |= {x ^ row for x in span}
+    return span
+
+
 class TestMod2:
     def test_rank_mod2(self):
         assert rank_mod2(IntMatrix([[2, 4], [1, 1]])) == 1
         assert rank_mod2(IntMatrix.identity(4)) == 4
+
+    def test_rref_edge_cases(self):
+        assert rref_mod2([]) == ([], [])
+        assert rref_mod2([0, 0]) == ([], [])
+        assert rref_mod2([0b110, 0b110, 0, 0b110]) == ([0b110], [2])
+        assert rref_mod2([0b111, 0b011, 0b001]) == ([1, 2, 4], [0, 1, 2])
+
+    def test_rref_against_quadratic_back_substitution(self):
+        rng = random.Random(482)
+        for _ in range(1500):
+            width = rng.randint(0, 40)
+            density = rng.random()
+            rows = [sum(1 << b for b in range(width) if rng.random() < density)
+                    for _ in range(rng.randint(0, 30))]
+            rows += [0] * rng.randint(0, 2)
+            rows += [rng.choice(rows) for _ in range(3)] if rows else []
+            rng.shuffle(rows)
+            assert rref_mod2(rows) == quadratic_rref_mod2(rows), rows
+
+    def test_rref_properties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=250, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.lists(st.integers(0, (1 << 10) - 1),
+                                   max_size=14))
+        def check(bitrows):
+            rows, pivots = rref_mod2(bitrows)
+            assert len(rows) == len(pivots)
+            assert gf2_span(rows) == gf2_span(bitrows)
+            assert all(p < q for p, q in zip(pivots, pivots[1:]))
+            for i, p in enumerate(pivots):
+                assert rows[i].bit_length() - 1 == p
+                for j, row in enumerate(rows):
+                    assert (row >> p) & 1 == (i == j)
+
+        check()
 
 
 class TestExactEntries:

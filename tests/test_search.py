@@ -57,6 +57,12 @@ class TestConfig:
                 SearchConfig(k=1, entry_set=(0, 1), mode="random", seed=1,
                              samples=samples)
 
+    def test_exhaustive_mode_rejects_sampling_settings(self):
+        with pytest.raises(ValueError, match="--samples 5"):
+            SearchConfig(k=1, entry_set=(0, 1), samples=5)
+        with pytest.raises(ValueError, match="--seed 0"):
+            SearchConfig(k=1, entry_set=(0, 1), seed=0)
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             SearchConfig(k=-1, entry_set=(0, 1))
