@@ -14,9 +14,11 @@ Two pipelines live here:
   Stiefel-Whitney class prod(1 + v_i) and Stiefel-Whitney numbers paired
   against the fundamental class.
 
-Ring arithmetic is degree-wise GF(2) linear algebra over monomial bases;
-the linear relations are eliminated up front so only m - n free
-generators remain, which keeps the bases tiny at desk scale.
+Ring arithmetic is degree-wise GF(2) linear algebra over monomial bases.
+The linear relations are eliminated up front, so only m - n free
+generators remain.  Each monomial is packed into one int, so a product of
+monomials is one integer addition, and a reduction XORs in one ideal row
+per pivot bit set in its input.
 """
 
 from __future__ import annotations
@@ -93,20 +95,20 @@ def w2_of_quotient(theta: IntMatrix):
 # ---------------------------------------------------------------------------
 # Graded mod-2 face ring of a full quotient.
 
-# A polynomial over GF(2) in the free generators is a frozenset of
-# exponent tuples; addition is symmetric difference.
+# A polynomial over GF(2) in the free generators is a frozenset of packed
+# monomials; addition is symmetric difference.  A packed monomial is one
+# int whose bits [w*i, w*(i+1)) hold the exponent of free generator i.
+# The ring sizes w so that no product it forms carries from one field into
+# the next, so the product of two monomials is their sum and distinct
+# monomials are distinct ints.
 
 def _poly_mul(p, q):
+    # For a fixed a the sums a + b are distinct, so each row of products
+    # is XORed in as one set.
     acc = set()
     for a in p:
-        for b in q:
-            mono = tuple(x + y for x, y in zip(a, b))
-            acc.symmetric_difference_update((mono,))
+        acc ^= {a + b for b in q}
     return frozenset(acc)
-
-
-def _poly_add(p, q):
-    return frozenset(set(p) ^ set(q))
 
 
 class GradedMod2Ring:
@@ -115,6 +117,11 @@ class GradedMod2Ring:
     generator_degree is 2 for quasitoric quotients and 1 for small
     covers; internally everything is indexed by algebraic degree (number
     of v-factors) and scaled on output.
+
+    Every facet is nonsingular mod 2, so the linear forms are a linear
+    system of parameters and the ring is spanned by face monomials: it
+    vanishes above algebraic degree n (Stanley, Combinatorics and
+    Commutative Algebra, ch. III).  Degree tables are built only up to n.
     """
 
     def __init__(self, K: SimplicialComplex, lam_mod2: IntMatrix,
@@ -128,12 +135,14 @@ class GradedMod2Ring:
         n = K.dimension + 1
         if lam_mod2.rows != n:
             raise ValueError(f"need {n} rows, got {lam_mod2.rows}")
-        rows, pivots = rref_mod2(rows_to_bitmasks(lam_mod2))
+        bitrows = rows_to_bitmasks(lam_mod2)
+        rows, pivots = rref_mod2(bitrows)
         if len(rows) != n:
             raise ValueError("linear forms are not independent mod 2")
+        colmask = [sum(((row >> j) & 1) << i for i, row in enumerate(bitrows))
+                   for j in range(K.m)]
         for sigma in K.facets:
-            sub = lam_mod2.submatrix_cols(sigma)
-            r, _ = rref_mod2(rows_to_bitmasks(sub))
+            r, _ = rref_mod2([colmask[v - 1] for v in sigma])
             if len(r) != n:
                 raise ValueError(
                     f"not characteristic mod 2: facet {sigma} is singular")
@@ -144,82 +153,84 @@ class GradedMod2Ring:
         self.top_algebraic = n
         pivot_set = set(pivots)
         self.free_vars = [j for j in range(self.m) if j not in pivot_set]
-        findex = {j: i for i, j in enumerate(self.free_vars)}
-        nfree = len(self.free_vars)
+        # A product of two classes has degree at most 2n and a minimal
+        # non-face at most n + 1 vertices; no exponent exceeds that.
+        width = max(2 * n, n + 1).bit_length()
+        self._width = width
+        unit = {j: 1 << (width * i) for i, j in enumerate(self.free_vars)}
+        self._units = list(unit.values())
 
-        def unit(i):
-            e = [0] * nfree
-            e[i] = 1
-            return frozenset({tuple(e)})
-
-        # Substitution: pivot generator -> sum of free generators.
-        self._subst = {}
-        for j in self.free_vars:
-            self._subst[j] = unit(findex[j])
+        # Substitution: generator -> sum of free generators.
+        self._subst = [frozenset({unit[j]}) if j in unit else None
+                       for j in range(self.m)]
         for row, p in zip(rows, pivots):
-            poly = frozenset()
-            for j in self.free_vars:
-                if (row >> j) & 1:
-                    poly = _poly_add(poly, unit(findex[j]))
-            self._subst[p] = poly
+            self._subst[p] = frozenset(u for j, u in unit.items()
+                                       if (row >> j) & 1)
 
         self._relations = []
         for nonface in K.minimal_nonfaces():
-            poly = frozenset({tuple([0] * nfree)})
+            poly = frozenset({0})
             for v in nonface:
                 poly = _poly_mul(poly, self._subst[v - 1])
             if poly:
                 self._relations.append((len(nonface), poly))
 
         self._degree_cache = {}
+        self._sw_cache = None
 
     # -- degree-wise linear algebra -------------------------------------
 
     def _degree(self, t):
-        if t in self._degree_cache:
-            return self._degree_cache[t]
-        monos = self._monomials(t)
+        """(monomials, index, pivot rows, pivot mask, basis) of degree
+        t <= n.  The monomials are in combinations_with_replacement order
+        and index maps each to its bit; the pivot rows of the ideal are
+        keyed by their pivot bit, and the basis is the non-pivot
+        monomials."""
+        entry = self._degree_cache.get(t)
+        if entry is not None:
+            return entry
+        monos = [sum(combo)
+                 for combo in combinations_with_replacement(self._units, t)]
         index = {mono: i for i, mono in enumerate(monos)}
         ideal_rows = []
         for deg, poly in self._relations:
             if deg > t:
                 continue
-            for mono in self._monomials(t - deg):
-                prod = _poly_mul(frozenset({mono}), poly)
-                mask = 0
-                for mm in prod:
-                    mask |= 1 << index[mm]
-                if mask:
-                    ideal_rows.append(mask)
+            for mono in self._degree(t - deg)[0]:
+                row = 0
+                for r in poly:
+                    row |= 1 << index[mono + r]
+                ideal_rows.append(row)
         rows, pivots = rref_mod2(ideal_rows)
-        entry = (monos, index, rows, pivots)
+        pivot_row = {1 << p: row for row, p in zip(rows, pivots)}
+        pivot_mask = sum(pivot_row)
+        basis = [mono for i, mono in enumerate(monos)
+                 if not (pivot_mask >> i) & 1]
+        entry = (monos, index, pivot_row, pivot_mask, basis)
         self._degree_cache[t] = entry
         return entry
 
-    def _monomials(self, t):
-        """Exponent tuples of the degree-t monomials in the free
-        generators, in combinations_with_replacement order."""
-        nfree = len(self.free_vars)
-        if nfree == 0:
-            return [()] if t == 0 else []
-        out = []
-        for combo in combinations_with_replacement(range(nfree), t):
-            e = [0] * nfree
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-        return out
+    def _mono_degree(self, mono):
+        """Degree of a packed monomial, or -1 if mono is not one."""
+        w = self._width
+        if type(mono) is not int or mono < 0 or mono >> (w * len(self._units)):
+            return -1
+        field = (1 << w) - 1
+        return sum((mono >> (w * i)) & field for i in range(len(self._units)))
+
+    def _basis(self, t):
+        return self._degree(t)[4] if t <= self.top_algebraic else []
 
     def dim(self, t):
         """Dimension of the algebraic-degree-t graded piece."""
-        monos, _, rows, _ = self._degree(t)
-        return len(monos) - len(rows)
+        return len(self._basis(t))
 
     def basis(self, t):
-        """Monomial basis of degree t: the non-pivot monomials."""
-        monos, _, _, pivots = self._degree(t)
-        pset = set(pivots)
-        return [mono for i, mono in enumerate(monos) if i not in pset]
+        """Monomial basis of degree t: the monomials that are not pivots
+        of the ideal, as packed ints (opaque; compare them only with
+        other monomials of this ring), in combinations_with_replacement
+        order of exponents."""
+        return list(self._basis(t))
 
     @property
     def top(self):
@@ -229,29 +240,38 @@ class GradedMod2Ring:
 
     def reduce(self, poly, t):
         """Canonical representative of a degree-t polynomial mod the ideal."""
-        monos, index, rows, pivots = self._degree(t)
-        mask = 0
-        for mono in poly:
-            if sum(mono) != t:
+        if t > self.top_algebraic:
+            if any(self._mono_degree(mono) != t for mono in poly):
                 raise ValueError("polynomial is not homogeneous of degree t")
-            mask |= 1 << index[mono]
-        for row, p in zip(rows, pivots):
-            if (mask >> p) & 1:
-                mask ^= row
-        return frozenset(mono for i, mono in enumerate(monos)
-                         if (mask >> i) & 1)
+            return frozenset()
+        monos, index, pivot_row, pivot_mask, _ = self._degree(t)
+        mask = 0
+        try:
+            for mono in poly:
+                mask |= 1 << index[mono]
+        except (KeyError, TypeError):
+            raise ValueError(
+                "polynomial is not homogeneous of degree t") from None
+        # The pivot rows are fully reduced, so XORing the row of each
+        # pivot bit set in the input clears every pivot bit in one pass.
+        hit = mask & pivot_mask
+        while hit:
+            low = hit & -hit
+            mask ^= pivot_row[low]
+            hit ^= low
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(monos[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def multiply(self, p, tp, q, tq):
         """Product of reduced classes, reduced in degree tp + tq."""
         return self.reduce(_poly_mul(p, q), tp + tq)
 
-    def generator_poly(self, i):
-        """Image of v_i (1-based) as a reduced degree-1 polynomial."""
-        return self.reduce(self._subst[i - 1], 1)
-
     def coords(self, poly, t):
-        basis = self.basis(t)
-        return tuple(int(mono in poly) for mono in basis)
+        return tuple(int(mono in poly) for mono in self._basis(t))
 
     def fundamental_pairing(self, poly):
         """Coefficient of a reduced top-degree class on the fundamental
@@ -267,32 +287,38 @@ def face_ring_mod2(K: SimplicialComplex, lam_mod2: IntMatrix,
     return GradedMod2Ring(K, lam_mod2, generator_degree)
 
 
+def _expand_total_class(R: GradedMod2Ring):
+    """The reduced pieces of prod_i (1 + v_i) in degrees 0..top."""
+    parts = {0: frozenset({0})}
+    for vi in R._subst:
+        new = {}
+        for t, poly in parts.items():
+            new[t] = new.get(t, frozenset()) ^ poly
+            if t + 1 <= R.top_algebraic:
+                new[t + 1] = new.get(t + 1, frozenset()) ^ _poly_mul(poly, vi)
+        parts = {t: R.reduce(p, t) for t, p in new.items()}
+    return tuple(parts.get(j, frozenset()) for j in range(R.top + 1))
+
+
+def _sw_pieces(R: GradedMod2Ring):
+    """The total class of R, expanded once per ring and kept on it."""
+    if R._sw_cache is None:
+        R._sw_cache = _expand_total_class(R)
+    return R._sw_cache
+
+
 def total_sw_class(R: GradedMod2Ring):
     """Total Stiefel-Whitney class prod_i (1 + v_i) as a list of
     Mod2Class, indexed by algebraic degree 0..top (real degree is the
     algebraic degree times the generator degree)."""
-    parts = {0: frozenset({tuple([0] * len(R.free_vars))})}
-    for i in range(1, R.m + 1):
-        vi = R._subst[i - 1]
-        new = {}
-        for t, poly in parts.items():
-            new[t] = _poly_add(new.get(t, frozenset()), poly)
-            if t + 1 <= R.top_algebraic:
-                bump = _poly_mul(poly, vi)
-                new[t + 1] = _poly_add(new.get(t + 1, frozenset()), bump)
-        parts = {t: R.reduce(p, t) for t, p in new.items()}
-    out = []
-    for j in range(R.top + 1):
-        poly = parts.get(j, frozenset())
-        real = j * R.generator_degree
-        out.append(Mod2Class(f"graded face ring, degree {real}",
-                             R.coords(poly, j)))
-    return out
+    return [Mod2Class(f"graded face ring, degree {j * R.generator_degree}",
+                      R.coords(poly, j))
+            for j, poly in enumerate(_sw_pieces(R))]
 
 
 def sw_triviality(R: GradedMod2Ring) -> bool:
     """All positive-degree Stiefel-Whitney classes vanish."""
-    return all(c.is_zero() for c in total_sw_class(R)[1:])
+    return not any(_sw_pieces(R)[1:])
 
 
 def _partitions(total, largest):
@@ -311,24 +337,24 @@ def sw_numbers(R: GradedMod2Ring):
     if R.dim(R.top) != 1:
         raise ValueError("no fundamental class: top degree dimension "
                          f"is {R.dim(R.top)}")
-    classes = total_sw_class(R)
-    polys = []
-    for j, cls in enumerate(classes):
-        basis = R.basis(j)
-        polys.append(frozenset(mono for mono, c in zip(basis, cls.coords)
-                               if c))
+    pieces = _sw_pieces(R)
+    # Consecutive partitions share prefixes; each prefix product is
+    # formed once.
+    products = {(): frozenset({0})}
     out = {}
     for partition in _partitions(R.top, R.top):
-        acc = frozenset({tuple([0] * len(R.free_vars))})
         t = 0
-        for part in partition:
-            acc = R.multiply(acc, t, polys[part], part)
+        for k, part in enumerate(partition, 1):
+            prefix = partition[:k]
+            if prefix not in products:
+                products[prefix] = R.multiply(products[prefix[:-1]], t,
+                                              pieces[part], part)
             t += part
-        value = R.fundamental_pairing(acc)
-        pieces = []
+        value = R.fundamental_pairing(products[partition])
+        names = []
         for part in sorted(set(partition), reverse=True):
             e = partition.count(part)
             name = f"w{part * R.generator_degree}"
-            pieces.append(name if e == 1 else f"{name}^{e}")
-        out[" ".join(pieces)] = value
+            names.append(name if e == 1 else f"{name}^{e}")
+        out[" ".join(names)] = value
     return out

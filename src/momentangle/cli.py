@@ -130,6 +130,8 @@ def cmd_extend_char(args):
 
 
 def _theta_from_args(args):
+    if args.theta and args.torus:
+        raise ValueError("give --theta or --torus, not both")
     if args.theta:
         return _load_matrix(args.theta)
     if args.torus:

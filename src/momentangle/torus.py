@@ -214,8 +214,11 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
     """Extend T's rows to an (m-n) x m matrix with nonzero dets on all
     facet complements, by seeded rejection sampling of the missing rows.
 
-    Generic rows succeed with probability approaching 1 as the entry
-    bound grows, so failure after max_tries is reported, not raised.  The
+    Entries are drawn from [-entry_bound, entry_bound] (default max(3, m)).
+    entry_bound and max_tries must be at least 1, else ValueError: bound 0
+    only draws zero rows.  Generic rows succeed with probability
+    approaching 1 as the entry bound grows, so failure after max_tries is
+    reported, not raised.  The
     returned lam is a kernel basis of the extended matrix, verified to be
     a rational characteristic matrix of K with T inside its kernel torus.
     """
@@ -226,6 +229,10 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
     if need < 0:
         raise ValueError(f"subtorus dimension {T.k} exceeds m - n = {m - n}")
     bound = entry_bound if entry_bound is not None else max(3, m)
+    if bound < 1:
+        raise ValueError(f"entry bound must be at least 1, got {bound}")
+    if max_tries < 1:
+        raise ValueError(f"max tries must be at least 1, got {max_tries}")
     rng = random.Random(seed)
     comps = K.facet_complements()
 
@@ -233,7 +240,7 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
         return all(det(theta_full.submatrix_cols(c)) != 0 for c in comps)
 
     tries = 0
-    while tries < max(max_tries, 1):
+    while tries < max_tries:
         tries += 1
         extra = [[rng.randint(-bound, bound) for _ in range(m)]
                  for _ in range(need)]

@@ -1,12 +1,17 @@
+import json
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from momentangle.charclasses import (face_ring_mod2, h2_of_quotient,
-                                     mod2_residue, sw_numbers, sw_triviality,
+from momentangle import charclasses
+from momentangle.charclasses import (_partitions, _poly_mul, face_ring_mod2,
+                                     h2_of_quotient, mod2_residue,
+                                     sw_numbers, sw_triviality,
                                      total_sw_class, w2_of_quotient)
-from momentangle.intlinalg import IntMatrix, image_contains
+from momentangle.cli import main
+from momentangle.intlinalg import (IntMatrix, image_contains,
+                                   rows_to_bitmasks, rref_mod2)
 from momentangle.simplicial import boundary_of_simplex, new_complex
 from momentangle.torus import (cyclic69_quotient_matrix, quotient_projection,
                                cyclic69_free_subtorus)
@@ -132,6 +137,12 @@ class TestFaceRing:
         with pytest.raises(ValueError):
             face_ring_mod2(K, lam)
 
+    def test_singular_facet_found_among_many(self):
+        # Independent rows, but v1 = v4 mod 2 on the facet {1, 4}.
+        K = new_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        with pytest.raises(ValueError, match=r"facet \(1, 4\)"):
+            face_ring_mod2(K, IntMatrix([[1, 0, 1, 3], [0, 1, 1, 2]]))
+
     def test_non_pure_rejected(self):
         K = new_complex(3, [(1, 2), (3,)])
         with pytest.raises(ValueError):
@@ -216,3 +227,291 @@ class TestSwTrivialityAndNumbers:
     def test_small_cover_number_keys(self):
         nums = sw_numbers(cpn_ring(2, gdeg=1))
         assert set(nums) == {"w1^2", "w2"}
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the face ring on exponent tuples.
+
+def tuple_poly_mul(p, q):
+    acc = set()
+    for a in p:
+        for b in q:
+            mono = tuple(x + y for x, y in zip(a, b))
+            acc.symmetric_difference_update((mono,))
+    return frozenset(acc)
+
+
+class TupleRing:
+    """The graded mod-2 face ring on frozensets of exponent tuples, reduced
+    by testing every pivot row: the arithmetic GradedMod2Ring had before
+    monomials were packed into ints, kept here as the oracle."""
+
+    def __init__(self, K, lam):
+        self.m = K.m
+        self.n = K.dimension + 1
+        rows, pivots = rref_mod2(rows_to_bitmasks(lam))
+        free = [j for j in range(K.m) if j not in set(pivots)]
+        self.nfree = len(free)
+
+        def unit(j):
+            return frozenset({tuple(int(i == free.index(j))
+                                    for i in range(self.nfree))})
+
+        self.subst = {j: unit(j) for j in free}
+        for row, p in zip(rows, pivots):
+            poly = frozenset()
+            for j in free:
+                if (row >> j) & 1:
+                    poly ^= unit(j)
+            self.subst[p] = poly
+        self.relations = []
+        for nonface in K.minimal_nonfaces():
+            poly = frozenset({(0,) * self.nfree})
+            for v in nonface:
+                poly = tuple_poly_mul(poly, self.subst[v - 1])
+            if poly:
+                self.relations.append((len(nonface), poly))
+        self.cache = {}
+        self.bases = {}
+        self.mono_cache = {}
+
+    def monomials(self, t):
+        if self.nfree == 0:
+            return [()] if t == 0 else []
+        out = []
+        for combo in combinations_with_replacement(range(self.nfree), t):
+            e = [0] * self.nfree
+            for i in combo:
+                e[i] += 1
+            out.append(tuple(e))
+        return out
+
+    def degree(self, t):
+        if t not in self.cache:
+            monos = self.monomials(t)
+            index = {mono: i for i, mono in enumerate(monos)}
+            ideal_rows = []
+            for deg, poly in self.relations:
+                if deg > t:
+                    continue
+                for mono in self.monomials(t - deg):
+                    mask = 0
+                    for mm in tuple_poly_mul(frozenset({mono}), poly):
+                        mask |= 1 << index[mm]
+                    if mask:
+                        ideal_rows.append(mask)
+            rows, pivots = rref_mod2(ideal_rows)
+            self.cache[t] = (monos, index, rows, pivots)
+        return self.cache[t]
+
+    def dim(self, t):
+        monos, _, rows, _ = self.degree(t)
+        return len(monos) - len(rows)
+
+    def basis(self, t):
+        monos, _, _, pivots = self.degree(t)
+        pset = set(pivots)
+        return [mono for i, mono in enumerate(monos) if i not in pset]
+
+    @property
+    def top(self):
+        return max(t for t in range(self.n + 1) if self.dim(t) > 0)
+
+    def reduce(self, poly, t):
+        monos, index, rows, pivots = self.degree(t)
+        mask = 0
+        for mono in poly:
+            if sum(mono) != t:
+                raise ValueError("polynomial is not homogeneous of degree t")
+            mask |= 1 << index[mono]
+        for row, p in zip(rows, pivots):
+            if (mask >> p) & 1:
+                mask ^= row
+        return frozenset(mono for i, mono in enumerate(monos)
+                         if (mask >> i) & 1)
+
+    def reduce_monomial(self, mono):
+        # reduce is linear: the multiplication table needs each product
+        # monomial reduced once.
+        if mono not in self.mono_cache:
+            self.mono_cache[mono] = self.reduce(frozenset({mono}), sum(mono))
+        return self.mono_cache[mono]
+
+    def coords(self, poly, t):
+        if t not in self.bases:
+            self.bases[t] = self.basis(t)
+        return tuple(int(mono in poly) for mono in self.bases[t])
+
+    def total_class(self):
+        parts = {0: frozenset({(0,) * self.nfree})}
+        for i in range(self.m):
+            new = {}
+            for t, poly in parts.items():
+                new[t] = new.get(t, frozenset()) ^ poly
+                if t + 1 <= self.n:
+                    new[t + 1] = new.get(t + 1, frozenset()) ^ \
+                        tuple_poly_mul(poly, self.subst[i])
+            parts = {t: self.reduce(p, t) for t, p in new.items()}
+        return [parts.get(j, frozenset()) for j in range(self.top + 1)]
+
+    def sw_numbers(self, gdeg):
+        polys = self.total_class()
+        out = {}
+        for partition in _partitions(self.top, self.top):
+            acc = frozenset({(0,) * self.nfree})
+            t = 0
+            for part in partition:
+                acc = self.reduce(tuple_poly_mul(acc, polys[part]), t + part)
+                t += part
+            names = []
+            for part in sorted(set(partition), reverse=True):
+                e = partition.count(part)
+                name = f"w{part * gdeg}"
+                names.append(name if e == 1 else f"{name}^{e}")
+            out[" ".join(names)] = 1 if acc else 0
+        return out
+
+
+def projective_product(exponents):
+    """(K, lambda) of prod P^{a_i}: the join of simplex boundaries on
+    consecutive vertex blocks, with block i of lambda = [I_{a_i} | -1]."""
+    blocks, start = [], 1
+    for a in exponents:
+        blocks.append(range(start, start + a + 1))
+        start += a + 1
+    m = start - 1
+    K = new_complex(m, [sum(choice, ()) for choice in
+                        product(*[combinations(b, len(b) - 1)
+                                  for b in blocks])])
+    lam = [[0] * m for _ in range(sum(exponents))]
+    row = 0
+    for a, block in zip(exponents, blocks):
+        for i in range(a):
+            lam[row + i][block[i] - 1] = 1
+            lam[row + i][block[-1] - 1] = -1
+        row += a
+    return K, IntMatrix(lam)
+
+
+def square_ring_input():
+    K = new_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    return K, IntMatrix([[1, 0, 1, 0], [0, 1, 0, 1]])
+
+
+DIFFERENTIAL_CASES = (
+    [(f"cp{n}-g{g}", (n,), g) for n in range(1, 9) for g in (1, 2)]
+    + [(f"cp2x{k}", (2,) * k, 2) for k in range(1, 6)]
+    + [("cp3x3", (3, 3, 3), 2), ("cp1cp2cp3", (1, 2, 3), 2),
+       ("rp1x6", (1,) * 6, 1), ("square", None, 2)])
+
+
+@pytest.mark.parametrize("label, exponents, gdeg", DIFFERENTIAL_CASES,
+                         ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_packed_ring_matches_tuple_ring(label, exponents, gdeg):
+    if exponents is None:
+        K, lam = square_ring_input()
+    else:
+        K, lam = projective_product(exponents)
+    rng = random.Random(f"twist:{label}")
+    lam = random_unimodular(rng, lam.rows) @ lam
+    R = face_ring_mod2(K, lam, generator_degree=gdeg)
+    O = TupleRing(K, lam)
+    n = O.n
+    for t in range(2 * n + 3):
+        assert R.dim(t) == O.dim(t), t
+        assert len(R.basis(t)) == len(O.basis(t)), t
+    assert R.top == O.top
+
+    # Products of basis monomials, also those that land above n.
+    bases = [R.basis(t) for t in range(n + 1)]
+    obases = [O.basis(t) for t in range(n + 1)]
+    for i, j in combinations_with_replacement(range(n + 1), 2):
+        for a, oa in zip(bases[i], obases[i]):
+            for b, ob in zip(bases[j], obases[j]):
+                got = R.coords(R.multiply(frozenset({a}), i,
+                                          frozenset({b}), j), i + j)
+                mono = tuple(x + y for x, y in zip(oa, ob))
+                want = O.coords(O.reduce_monomial(mono), i + j)
+                assert got == want, (i, j)
+
+    classes = total_sw_class(R)
+    want = O.total_class()
+    assert [c.coords for c in classes] == [O.coords(p, j)
+                                           for j, p in enumerate(want)]
+    assert sw_numbers(R) == O.sw_numbers(gdeg)
+
+
+def test_square_ring_never_aliases():
+    # n = 2 with two free generators: the fields hold exponents up to
+    # 2n = 4, the degree of a product of two classes.  Degrees 5-8 are
+    # reached by monomials whose exponents stay within that.
+    K, lam = square_ring_input()
+    R = face_ring_mod2(K, lam)
+    O = TupleRing(K, lam)
+    gens = R.basis(1)
+    assert len(gens) == O.nfree == 2
+    packed = {}
+    for t in range(5):
+        for e in O.monomials(t):
+            poly = frozenset({0})
+            for g, k in zip(gens, e):
+                for _ in range(k):
+                    poly = _poly_mul(poly, frozenset({g}))
+            (packed[e],) = poly
+    assert len(set(packed.values())) == len(packed) == 15
+    seen = set()
+    for e, f in product(packed, repeat=2):
+        mono = tuple(x + y for x, y in zip(e, f))
+        if max(mono) > 4:
+            continue
+        t = sum(mono)
+        seen.add(t)
+        got = R.reduce(frozenset({packed[e] + packed[f]}), t)
+        want = O.reduce_monomial(mono)
+        assert R.coords(got, t) == O.coords(want, t)
+        assert bool(got) == bool(want)
+    assert seen == set(range(9))
+    for t in range(5, 9):
+        assert R.dim(t) == O.dim(t) == 0
+        assert R.basis(t) == [] and O.basis(t) == []
+        assert R.reduce(frozenset(), t) == frozenset()
+
+
+def test_reduce_rejects_wrong_degree():
+    K, lam = square_ring_input()
+    R = face_ring_mod2(K, lam)
+    x, y = R.basis(1)
+    xy = _poly_mul(frozenset({x}), frozenset({y}))
+    for t in (0, 1, 3, 4, 6):
+        with pytest.raises(ValueError):
+            R.reduce(xy, t)
+    with pytest.raises(ValueError):
+        R.reduce(frozenset({(1, 1)}), 2)
+    assert R.reduce(xy, 2) == R.reduce(R.reduce(xy, 2), 2)
+
+
+def test_total_class_computed_once_per_sw_quasitoric(tmp_path, capsys,
+                                                     monkeypatch):
+    K, lam = projective_product((2, 2))
+    cpath, lpath = tmp_path / "K.json", tmp_path / "lam.json"
+    cpath.write_text(json.dumps(K.to_json()))
+    lpath.write_text(json.dumps(lam.to_json()))
+    calls = []
+    expand = charclasses._expand_total_class
+
+    def counting(R):
+        calls.append(R)
+        return expand(R)
+
+    monkeypatch.setattr(charclasses, "_expand_total_class", counting)
+    for _ in range(2):
+        assert main(["sw-quasitoric", "--complex", str(cpath),
+                     "--char", str(lpath)]) == 0
+    out = capsys.readouterr().out
+    assert '"sw_numbers"' in out
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    R = calls[1]
+    first = total_sw_class(R)
+    first[0] = None
+    assert total_sw_class(R)[0].coords == (1,)
+    assert len(calls) == 2

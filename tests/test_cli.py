@@ -120,6 +120,19 @@ class TestExtendChar:
         assert obj["verdict"] is True
         assert obj["theta_full"]["rows"] == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--entry-bound", "0"), ("--entry-bound", "-2"),
+        ("--max-tries", "0"), ("--max-tries", "-1")])
+    def test_futile_range_is_an_input_error(self, capsys, c69_file,
+                                            torus_file, flag, value):
+        code = main(["--seed", "7", "extend-char", "--complex", c69_file,
+                     "--torus", torus_file, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"got {value}" in captured.err
+        assert "randrange" not in captured.err
+
 
 class TestQuotientAndW2:
     def test_h2(self, capsys, theta_file):
@@ -143,6 +156,15 @@ class TestQuotientAndW2:
 
     def test_missing_input(self, capsys):
         assert main(["w2"]) == 2
+
+    @pytest.mark.parametrize("cmd", ["w2", "quotient-h2"])
+    def test_theta_and_torus_together_rejected(self, capsys, cmd,
+                                               theta_file, torus_file):
+        code = main([cmd, "--theta", theta_file, "--torus", torus_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--theta" in captured.err and "--torus" in captured.err
 
 
 class TestSwQuasitoric:

@@ -241,6 +241,22 @@ class TestExtension:
         assert res.tries == 1
         assert not res.success or res.theta_full is not None
 
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"entry_bound": 0}, "0"), ({"entry_bound": -2}, "-2"),
+        ({"max_tries": 0}, "0"), ({"max_tries": -5}, "-5")])
+    def test_futile_ranges_rejected(self, kwargs, named):
+        K = cyclic_polytope_boundary(6, 9)
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            extend_to_characteristic(cyclic69_free_subtorus(), K, seed=0,
+                                     **kwargs)
+
+    def test_smallest_ranges_accepted(self):
+        K = boundary_of_simplex(2)
+        T = Subtorus(IntMatrix([], rows=0, cols=3))
+        res = extend_to_characteristic(T, K, entry_bound=1, max_tries=1,
+                                       seed=5)
+        assert res.tries == 1
+
     def test_deterministic_for_fixed_seed(self):
         K = cyclic_polytope_boundary(6, 9)
         T = cyclic69_free_subtorus()
