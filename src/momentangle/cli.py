@@ -17,7 +17,7 @@ import traceback
 
 from .charclasses import (face_ring_mod2, h2_of_quotient, sw_numbers,
                           sw_triviality, total_sw_class, w2_of_quotient)
-from .homology import homology, is_homology_sphere
+from .homology import is_homology_sphere
 from .intlinalg import IntMatrix
 from .pipeline import verify_c69_example
 from .search import SearchConfig, search_free
@@ -95,7 +95,7 @@ def cmd_check_manifold(args):
     cert = is_homology_sphere(K)
     payload = {"verdict": cert.verdict,
                "manifold": "certified_manifold" if cert else "unknown",
-               "homology": homology(K).to_json(),
+               "homology": cert.homology.to_json(),
                "certificate": cert.to_json()}
     _emit(args, payload)
     return EXIT_TRUE if cert.verdict else EXIT_FALSE

@@ -11,6 +11,7 @@ necessary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .intlinalg import IntMatrix, InternalError, sparse_invariant_factors
 from .simplicial import SimplicialComplex
@@ -143,6 +144,10 @@ class SphereCertificate:
     root: tuple
     complexes: dict = field(default_factory=dict)
     criterion: str = "recursive-links"
+    # homology(K) of the checked complex, computed once for the certificate
+    # and kept for callers that report it; not part of the JSON.
+    homology: Optional[HomologyProfile] = field(default=None, compare=False,
+                                                repr=False)
 
     def __bool__(self):
         return self.verdict
@@ -167,8 +172,9 @@ def _canonical_key(K: SimplicialComplex):
     return (len(supp), facets)
 
 
-def _check_sphere(K, memo, table):
-    key = _canonical_key(K)
+def _check_sphere(K, key, memo, table, prof=None):
+    """Certify K, whose canonical key is key; prof is homology(K) when the
+    caller already has it."""
     if key in memo:
         return memo[key]
     memo[key] = False  # guard; overwritten below
@@ -179,15 +185,18 @@ def _check_sphere(K, memo, table):
         table[key] = {"dim": -1, "homology_matches_sphere": True,
                       "vertex_links": {}}
         return True
-    prof = homology(K, reduced=True)
+    if prof is None:
+        prof = homology(K, reduced=True)
     hom_ok = _matches_sphere(prof, dim)
     links = {}
     ok = hom_ok
     if hom_ok:
         for v in K.support():
             L, _ = K.link((v,))
-            links[v] = _key_str(_canonical_key(L))
-            if L.dimension != dim - 1 or not _check_sphere(L, memo, table):
+            link_key = _canonical_key(L)
+            links[v] = _key_str(link_key)
+            if (L.dimension != dim - 1
+                    or not _check_sphere(L, link_key, memo, table)):
                 ok = False
                 break
     memo[key] = ok
@@ -198,9 +207,11 @@ def _check_sphere(K, memo, table):
 
 def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     memo, table = {}, {}
-    verdict = _check_sphere(K, memo, table)
-    return SphereCertificate(verdict=verdict, root=_canonical_key(K),
-                             complexes=table)
+    root = _canonical_key(K)
+    prof = homology(K, reduced=True)
+    verdict = _check_sphere(K, root, memo, table, prof)
+    return SphereCertificate(verdict=verdict, root=root, complexes=table,
+                             homology=prof)
 
 
 def manifold_verdict(K: SimplicialComplex) -> str:

@@ -2,8 +2,10 @@
 
 Everything here runs on Python's arbitrary-precision integers; no
 floating point is used anywhere.  The Smith normal form is the engine
-behind every lattice question in the package: kernels, cokernels,
-primitivity, unimodular completions.
+behind kernels, cokernels and unimodular completions.  Primitivity, the
+question the subtorus search asks most, has its own test on a
+gcd-triangular basis, and the Hermite normal form also works on plain
+rows.
 """
 
 from __future__ import annotations
@@ -103,23 +105,27 @@ class IntMatrix:
         return cls(obj["data"], rows=obj["rows"], cols=obj["cols"])
 
 
-def _bareiss(A):
-    """Fraction-free (Bareiss) echelon reduction of A: (rank over Q, last
-    pivot times the sign of the row swaps), the latter det(A) for square A
-    of full rank."""
-    M = [list(row) for row in A.data]
+def _bareiss(rows, ncols):
+    """Fraction-free (Bareiss) echelon reduction of the matrix with these
+    rows: (rank over Q, last pivot times the sign of the row swaps).  The
+    last pivot is, up to sign, the minor on the pivot rows and columns, so
+    it is det(A) for square A of full rank."""
+    M = [list(row) for row in rows]
+    nrows = len(M)
     rank = 0
     sign = 1
     prev = 1
-    for c in range(A.cols):
-        piv = next((r for r in range(rank, A.rows) if M[r][c]), None)
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if M[r][c]), None)
         if piv is None:
             continue
         if piv != rank:
             M[rank], M[piv] = M[piv], M[rank]
             sign = -sign
-        for r in range(rank + 1, A.rows):
-            for cc in range(c + 1, A.cols):
+        for r in range(rank + 1, nrows):
+            for cc in range(c + 1, ncols):
                 M[r][cc] = (M[r][cc] * M[rank][c] - M[r][c] * M[rank][cc]) // prev
             M[r][c] = 0
         prev = M[rank][c]
@@ -131,13 +137,13 @@ def det(A):
     """Exact determinant via fraction-free Bareiss elimination."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
-    rank, last = _bareiss(A)
+    rank, last = _bareiss(A.data, A.cols)
     return last if rank == A.rows else 0
 
 
 def rank_rational(A):
     """Rank over Q via fraction-free (Bareiss) echelon reduction."""
-    return _bareiss(A)[0]
+    return _bareiss(A.data, A.cols)[0]
 
 
 @dataclass(frozen=True)
@@ -325,21 +331,74 @@ def kernel_lattice(A):
     return IntMatrix(vt.data[r:], rows=A.cols - r, cols=A.cols)
 
 
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b == g == gcd(a, b) > 0, for a > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 def is_primitive_cols(k, columns):
     """True iff the k-row matrix with these columns (each a length-k
-    sequence) has rank k and all invariant factors 1.
+    sequence) has rank k and all invariant factors 1, that is, iff the
+    columns generate Z^k.
 
     This is the one primitivity test of the package: the rows then span a
     direct summand, and the torus map the columns define is injective.
-    No IntMatrix and no Smith transforms are built.
+    Bareiss elimination gives the rank over Q and, at rank k, the nonzero
+    minor D on its pivot columns; D = +-1 answers True at once.  The
+    lattice L of the columns then contains D Z^k, so the columns are
+    folded one at a time, mod D, into a triangular basis of L seeded with
+    D e_1, ..., D e_k: basis[i] is zero above row i, and a column meets it
+    by extended gcd, a unimodular 2 x 2 step that keeps the lattice and
+    clears the column's entry i.  L is Z^k exactly when every diagonal
+    entry is 1, so the test returns True as soon as that holds and False
+    when the columns run out first.  Cost: O(k^2 m) integer operations
+    for k x m, on entries no larger than the minors of the matrix; no
+    Smith form is built.
     """
-    return sparse_invariant_factors(
-        {i: a for i, a in enumerate(col) if a} for col in columns) == (1,) * k
+    if k == 0:
+        return True
+    columns = list(columns)
+    rank, D = _bareiss(zip(*columns), len(columns))
+    if rank < k:
+        return False
+    D = abs(D)
+    if D == 1:
+        return True
+    basis = [[D if j == i else 0 for j in range(k)] for i in range(k)]
+    units = 0     # diagonal entries equal to 1
+    for col in columns:
+        v = [x % D for x in col]
+        for i in range(k):
+            a = v[i]
+            if not a:
+                continue
+            b = basis[i]
+            d = b[i]
+            if a % d == 0:
+                q = a // d
+                v = [(x - q * y) % D for x, y in zip(v, b)]
+                continue
+            g, s, t = _xgcd(d, a)
+            p, q = a // g, d // g
+            basis[i], v = ([(s * y + t * x) % D for x, y in zip(v, b)],
+                           [(p * y - q * x) % D for x, y in zip(v, b)])
+            units += g == 1
+        if units == k:
+            return True
+    return False
 
 
 def is_primitive_rows(A):
     """True iff the rows span a rank-rows direct summand of Z^cols."""
-    return is_primitive_cols(A.rows, A.transpose().data)
+    return is_primitive_cols(A.rows, zip(*A.data))
 
 
 def complete_to_unimodular(A):
@@ -419,15 +478,18 @@ def image_contains(A, b):
     return all(c[i] == 0 for i in range(r, A.rows))
 
 
-def hermite_normal_form(A):
-    """Row-style Hermite normal form of the row lattice; zero rows dropped.
+def hermite_normal_form_rows(rows):
+    """Row-style Hermite normal form of the lattice spanned by rows (a
+    sequence of equal-length integer sequences), as a tuple of row tuples
+    with zero rows dropped.
 
     Canonical: pivots positive, entries above each pivot reduced into
     [0, pivot).  Two integer matrices span the same row lattice iff their
     HNFs are equal, which is how lattice equality and search dedup work.
     """
-    H = [list(row) for row in A.data]
-    nrows, ncols = A.rows, A.cols
+    H = [list(row) for row in rows]
+    nrows = len(H)
+    ncols = len(H[0]) if H else 0
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -456,7 +518,14 @@ def hermite_normal_form(A):
                 if q:
                     H[i] = [a - q * b for a, b in zip(H[i], H[r])]
             r += 1
-    return IntMatrix(H[:r], rows=r, cols=ncols)
+    return tuple(map(tuple, H[:r]))
+
+
+def hermite_normal_form(A):
+    """Row-style Hermite normal form of A's row lattice, as an IntMatrix;
+    see hermite_normal_form_rows."""
+    H = hermite_normal_form_rows(A.data)
+    return IntMatrix(H, rows=len(H), cols=A.cols)
 
 
 def row_lattice_equal(A, B):

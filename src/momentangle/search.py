@@ -1,15 +1,21 @@
 """Bounded search for freely acting subtori.
 
 Candidates are k x m matrices over a finite entry set of distinct
-values.  Freeness comes from torus.first_unfree, the test behind
-acts_freely.  Exhaustive mode builds candidates column by column and
-checks each facet complement once its last column is chosen, pruning the
-prefix if it fails; random mode draws cfg.samples >= 1 candidates.  Each
-search_free call owns one memo of that test, keyed on the set of
-distinct columns of a complement, so the test runs once per column set
-however often the set recurs; the memo ends with the call.  Results are
-deduplicated by the Hermite normal form of the row lattice, so
-GL_k(Z)-equivalent candidates count once.
+values.  A candidate is held as m codes into a palette of distinct
+columns: every k-tuple over the entry set in exhaustive mode, the
+columns drawn so far in random mode.  Freeness comes from
+torus.first_unfree, the test behind acts_freely.  Exhaustive mode builds
+candidates column by column and checks each facet complement once its
+last column is chosen, pruning the prefix if it fails; random mode draws
+cfg.samples >= 1 candidates.  Each search_free call owns one memo of
+that test, keyed on the int bitmask of the palette codes of a
+complement, that is on its set of distinct columns, so the test runs
+once per column set however often the set recurs; the memo ends with the
+call, and random mode starts palette and memo over before the palette
+would pass RANDOM_PALETTE_LIMIT codes.  Results are deduplicated by the
+Hermite normal form of the row lattice, computed on plain rows, so
+GL_k(Z)-equivalent candidates count once and a duplicate builds no
+matrix.
 
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
@@ -22,9 +28,13 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .intlinalg import IntMatrix, hermite_normal_form
+from .intlinalg import IntMatrix, hermite_normal_form_rows
 from .simplicial import SimplicialComplex
 from .torus import PreconditionError, Subtorus, first_unfree
+
+# Random mode codes the columns it has drawn; a memo key is a bitmask over
+# those codes, so this cap keeps every key within 256 bytes.
+RANDOM_PALETTE_LIMIT = 1 << 11
 
 BOUNDED_EVIDENCE = ("bounded evidence: search covered the stated entry set "
                     "only; a negative result is not a proof")
@@ -95,48 +105,67 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     k = cfg.k
     result = SearchResult()
     seen = set()
-    memo = {}  # frozenset of a complement's columns -> primitive?
-    # Passing one constraint makes all m columns span Z^k, so record needs
-    # no primitivity test.  Without facets the empty face is maximal.
+    memo = {}  # bitmask of a complement's palette codes -> primitive?
+    palette = []  # distinct columns; a candidate is a list of codes into it
+    # Without facets the empty face is maximal.
     comps = K.facet_complements() or [tuple(range(1, m + 1))]
 
-    def record(columns):
+    def record(codes):
         result.complete_candidates += 1
-        key = hermite_normal_form(
-            IntMatrix([[col[i] for col in columns] for i in range(k)],
-                      rows=k, cols=m))
+        key = hermite_normal_form_rows(
+            [[palette[c][i] for c in codes] for i in range(k)])
         if key in seen:
             return
-        seen.add(key)
-        result.found.append(Subtorus(key))
+        T = Subtorus(IntMatrix(key, rows=len(key), cols=m))
+        seen.add(T.matrix.data)  # equal to key; seen and found share it
+        result.found.append(T)
 
     if cfg.mode == "random":
+        # The palette is the distinct columns in order of first draw.  It
+        # starts over, with the memo, before it would pass
+        # RANDOM_PALETTE_LIMIT codes, which bounds the memo keys.
         rng = random.Random(cfg.seed)
+        index = {}  # column -> its code
         for _ in range(cfg.samples):
             rows = [[rng.choice(cfg.entry_set) for _ in range(m)]
                     for _ in range(k)]
-            columns = [tuple(row[j] for row in rows) for j in range(m)]
+            if len(palette) + m > RANDOM_PALETTE_LIMIT:
+                palette.clear()
+                index.clear()
+                memo.clear()
+            codes = []
+            for j in range(m):
+                col = tuple(row[j] for row in rows)
+                code = index.get(col)
+                if code is None:
+                    code = index[col] = len(palette)
+                    palette.append(col)
+                codes.append(code)
             result.explored += 1
-            if first_unfree(k, columns, comps, memo) is None:
-                record(columns)
+            if first_unfree(k, palette, codes, comps, memo) is None:
+                record(codes)
         return result
 
+    # The palette is every k-tuple over the entry set, in product order.
+    palette.extend(product(cfg.entry_set, repeat=k))
     by_depth = {}  # last column -> constraints; 0 for an empty complement
     for comp in comps:
         by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
-    column_choices = list(product(cfg.entry_set, repeat=k))
+    codes = []
 
-    def dfs(columns):
-        depth = len(columns)
-        if first_unfree(k, columns, by_depth.get(depth, ()),
-                        memo) is not None:
+    def dfs():
+        depth = len(codes)
+        here = by_depth.get(depth)
+        if here and first_unfree(k, palette, codes, here, memo) is not None:
             return
         if depth == m:
-            record(columns)
+            record(codes)
             return
-        for col in column_choices:
-            result.explored += 1
-            dfs(columns + (col,))
+        result.explored += len(palette)
+        for c in range(len(palette)):
+            codes.append(c)
+            dfs()
+            codes.pop()
 
-    dfs(())
+    dfs()
     return result

@@ -97,32 +97,43 @@ def _check_action_input(T: Subtorus, K: SimplicialComplex):
             "requires purity")
 
 
-# A memo entry costs about 450 bytes.  In a long random search over a wide
-# entry set nearly every column set is new, so without a cap the memo would
-# grow with the run time.  The cap holds it near 30 MB; the exhaustive
-# searches of the boundary of C_6(9) need at most 92 entries.
+# A memo entry costs about 80 bytes with a palette of up to 30 codes; the
+# int key grows by 4 bytes per 30 codes, to about 340 bytes an entry at the
+# 2048 codes of search.RANDOM_PALETTE_LIMIT.  In a long random search over a
+# wide entry set nearly every column set is new, so without a cap the memo
+# would grow with the run time.  The cap holds it under 25 MB there; the
+# exhaustive searches of the boundary of C_6(9) need at most 92 entries.
 FREENESS_MEMO_LIMIT = 1 << 16
 
 
-def first_unfree(k, columns, comps, memo=None):
-    """Index of the first label set in comps (1-based, into the length-k
-    columns) whose columns are not primitive, or None: the one freeness
-    test, free on Z_K when comps are K's facet complements.
+def first_unfree(k, palette, codes, comps, memo=None):
+    """Index of the first label set in comps (1-based, into the columns)
+    whose columns are not primitive, or None: the one freeness test, free
+    on Z_K when comps are K's facet complements.
 
-    memo maps frozenset(columns of a complement) to is_primitive_cols(k,
-    ...) for this one k; a caller testing many candidates passes one dict
-    to every call, and a fresh dict is used when it is None.  It stops
-    growing at FREENESS_MEMO_LIMIT entries.  The key is exact: rank k
-    with every invariant factor 1 means the columns generate Z^k, which
-    depends only on the set of distinct columns, not on their order or
-    multiplicity."""
+    The columns are given as codes into palette, a sequence of distinct
+    length-k columns: column j is palette[codes[j - 1]].  memo maps the
+    set of codes of a complement, as an int bitmask of palette indices, to
+    is_primitive_cols(k, ...) for this one k and palette; a caller testing
+    many candidates passes one dict to every call, and a fresh dict is
+    used when it is None.  It stops growing at FREENESS_MEMO_LIMIT
+    entries.  The key is exact: rank k with every invariant factor 1 means
+    the columns generate Z^k, which depends only on the set of distinct
+    columns, not on their order or multiplicity."""
     if memo is None:
         memo = {}
     for i, comp in enumerate(comps):
-        cols = [columns[j - 1] for j in comp]
-        key = frozenset(cols)
+        key = 0
+        for j in comp:
+            key |= 1 << codes[j - 1]
         free = memo.get(key)
         if free is None:
+            cols = []
+            rest = key
+            while rest:
+                low = rest & -rest
+                cols.append(palette[low.bit_length() - 1])
+                rest ^= low
             free = is_primitive_cols(k, cols)
             if len(memo) < FREENESS_MEMO_LIMIT:
                 memo[key] = free
@@ -134,7 +145,10 @@ def first_unfree(k, columns, comps, memo=None):
 def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:
     """Free action test, one submatrix check per facet."""
     _check_action_input(T, K)
-    i = first_unfree(T.k, T.matrix.transpose().data, K.facet_complements())
+    index = {}  # distinct column -> its code
+    codes = [index.setdefault(col, len(index))
+             for col in T.matrix.transpose().data]
+    i = first_unfree(T.k, list(index), codes, K.facet_complements())
     return FreenessResult(i is None, None if i is None else K.facets[i])
 
 

@@ -77,6 +77,27 @@ class TestCheckManifold:
         assert obj["verdict"] is True
         assert obj["manifold"] == "certified_manifold"
 
+    def test_root_homology_computed_once(self, capsys, c69_file,
+                                         monkeypatch):
+        hmod = sys.modules["momentangle.homology"]
+        real = hmod.homology
+        calls = []
+
+        def counted(K, reduced=True):
+            calls.append(None)
+            return real(K, reduced)
+
+        monkeypatch.setattr(hmod, "homology", counted)
+        monkeypatch.setattr(cli, "homology", counted, raising=False)
+        code, obj = run_json(capsys, ["check-manifold", "--complex",
+                                      c69_file])
+        assert code == 0
+        assert obj["homology"] == real(
+            cyclic_polytope_boundary(6, 9)).to_json()
+        assert len(calls) == sum(
+            1 for c in obj["certificate"]["complexes"].values()
+            if c["dim"] >= 0)
+
     def test_unknown(self, capsys, tmp_path):
         path = tmp_path / "edge.json"
         path.write_text(json.dumps({"m": 2, "facets": [[1, 2]]}))

@@ -208,6 +208,34 @@ class TestSphereCertificate:
     def test_rp2_rejected(self):
         assert not is_homology_sphere(RP2).verdict
 
+    def test_each_complex_keyed_and_measured_once(self, monkeypatch):
+        hmod = sys.modules["momentangle.homology"]
+        calls = {"key": 0, "homology": 0}
+        real_key, real_homology = hmod._canonical_key, hmod.homology
+
+        def key(K):
+            calls["key"] += 1
+            return real_key(K)
+
+        def counted_homology(K, reduced=True):
+            calls["homology"] += 1
+            return real_homology(K, reduced)
+
+        monkeypatch.setattr(hmod, "_canonical_key", key)
+        monkeypatch.setattr(hmod, "homology", counted_homology)
+        for K in (cyclic_polytope_boundary(6, 9), RP2,
+                  new_complex(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4),
+                                  (2, 3, 4)])):
+            calls.update(key=0, homology=0)
+            cert = is_homology_sphere(K)
+            table = cert.complexes.values()
+            # The root key, then one key per link a parent computes.
+            assert calls["key"] == 1 + sum(len(c["vertex_links"])
+                                           for c in table)
+            assert calls["homology"] == sum(1 for c in table
+                                            if c["dim"] >= 0)
+            assert cert.homology == real_homology(K)
+
     def test_certificate_json(self):
         cert = is_homology_sphere(boundary_of_simplex(2))
         obj = cert.to_json()

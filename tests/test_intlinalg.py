@@ -8,7 +8,8 @@ import pytest
 import momentangle
 from momentangle.intlinalg import (IntMatrix, cokernel,
                                    complete_to_unimodular, det,
-                                   hermite_normal_form, image_contains,
+                                   hermite_normal_form,
+                                   hermite_normal_form_rows, image_contains,
                                    is_primitive_cols, is_primitive_rows,
                                    kernel_lattice,
                                    rank_mod2, rank_rational,
@@ -229,7 +230,7 @@ class TestPrimitive:
         assert 0 < hits < 600  # both answers are exercised
 
     def test_depends_only_on_distinct_columns(self):
-        # The search memoizes is_primitive_cols on frozenset(columns).
+        # The search memoizes is_primitive_cols on the set of distinct columns.
         rng = random.Random(1414)
         hits = 0
         for _ in range(600):
@@ -247,6 +248,71 @@ class TestPrimitive:
             assert is_primitive_cols(k, distinct) == want, cols
             hits += want
         assert 0 < hits < 600
+
+    def test_differential_against_smith(self):
+        # Entry ranges from {0, 1} up to +-10^9, with zero, repeated and
+        # (for k = 0) empty columns, rank-deficient and non-unit cases.
+        rng = random.Random(31337)
+        for lo, hi in [(0, 1), (-1, 1), (-6, 6), (-1000, 1000),
+                       (-10 ** 9, 10 ** 9)]:
+            answers = set()
+            for _ in range(300):
+                k = rng.randint(0, 5)
+                cols = [tuple(rng.randint(lo, hi) for _ in range(k))
+                        for _ in range(rng.randint(0, 8))]
+                shape = rng.randrange(4)
+                if shape == 1 and k:      # rank deficient
+                    cols = [c[:-1] + (sum(c[:-1]),) for c in cols]
+                elif shape == 2 and k:    # one row scaled by a prime
+                    q = rng.choice((2, 3, 7))
+                    cols = [(q * c[0],) + c[1:] for c in cols]
+                cols += [(0,) * k] * rng.randint(0, 2)
+                if cols:
+                    cols += [rng.choice(cols)
+                             for _ in range(rng.randint(0, 3))]
+                rng.shuffle(cols)
+                A = IntMatrix([[c[i] for c in cols] for i in range(k)],
+                              rows=k, cols=len(cols))
+                want = self.smith_reference(A)
+                assert is_primitive_cols(k, cols) == want, (k, cols)
+                assert is_primitive_rows(A) == want, (k, cols)
+                answers.add(want)
+            assert answers == {True, False}, (lo, hi)
+
+    def test_unimodular_columns_against_smith(self):
+        # Columns of G @ [I | X] with G unimodular generate Z^k however
+        # large the entries; a scaled copy of one column keeps that.
+        rng = random.Random(4242)
+        for _ in range(100):
+            k = rng.randint(1, 5)
+            X = [[rng.randint(-10 ** 9, 10 ** 9) for _ in range(3)]
+                 for _ in range(k)]
+            A = random_unimodular(rng, k) @ IntMatrix(
+                [[int(i == j) for j in range(k)] + X[i] for i in range(k)])
+            cols = list(A.transpose().data)
+            cols.append(tuple(5 * x for x in cols[0]))
+            assert is_primitive_cols(k, cols)
+            assert not is_primitive_cols(k, [tuple(2 * x for x in c)
+                                             for c in cols])
+
+    def test_property_against_smith(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entries = st.one_of(st.integers(-3, 3),
+                            st.integers(-10 ** 9, 10 ** 9))
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.integers(0, 4).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(
+                st.tuples(*[entries] * k), max_size=7))))
+        def check(case):
+            k, cols = case
+            A = IntMatrix([[c[i] for c in cols] for i in range(k)],
+                          rows=k, cols=len(cols))
+            assert is_primitive_cols(k, cols) == self.smith_reference(A)
+
+        check()
 
 
 class TestCompletion:
@@ -340,6 +406,34 @@ class TestHermite:
         A = IntMatrix([[0, 1, 2], [1, 1, 1]])
         B = IntMatrix([[1, 1, 1], [1, 2, 3]])
         assert hermite_normal_form(A) == hermite_normal_form(B)
+
+    def test_rows_helper_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        rng = random.Random(2024)
+        for _ in range(300):
+            r, c = rng.randint(1, 5), rng.randint(1, 6)
+            e = rng.choice((1, 3, 50, 10 ** 6))
+            rows = [[rng.randint(-e, e) for _ in range(c)] for _ in range(r)]
+            if r > 1 and rng.random() < 0.3:
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            H = hermite_normal_form_rows(rows)
+            assert hermite_normal_form(IntMatrix(rows)) == IntMatrix(
+                H, rows=len(H), cols=c)
+            # Same row lattice: sympy's canonical form of the column
+            # lattice of the transposes agrees.
+            if H:
+                assert (normalforms.hermite_normal_form(sympy.Matrix(rows).T)
+                        == normalforms.hermite_normal_form(
+                            sympy.Matrix(H).T)), rows
+            else:
+                assert not any(map(any, rows))
+            assert len(H) == rank_rational(IntMatrix(rows))
+            pivots = [next(j for j, a in enumerate(row) if a) for row in H]
+            assert pivots == sorted(set(pivots))
+            for i, p in enumerate(pivots):
+                assert H[i][p] > 0
+                assert all(0 <= H[above][p] < H[i][p] for above in range(i))
 
     def test_lattice_equality_under_gl(self):
         rng = random.Random(7)

@@ -1,13 +1,17 @@
+import random
 from itertools import product
 
 import pytest
 
+import momentangle.search
 import momentangle.torus
-from momentangle.intlinalg import IntMatrix, hermite_normal_form
+from momentangle.intlinalg import (IntMatrix, hermite_normal_form,
+                                   hermite_normal_form_rows, smith)
 from momentangle.search import SearchConfig, search_free
 from momentangle.simplicial import (boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from momentangle.torus import PreconditionError, Subtorus, acts_freely
+from momentangle.torus import (PreconditionError, Subtorus, acts_freely,
+                               first_unfree)
 
 ORACLE_COMPLEXES = [
     boundary_of_simplex(2),
@@ -32,6 +36,118 @@ def free_lattices(K, k, entries):
         if acts_freely(T, K):
             keys.add(T.row_lattice_key())
     return keys
+
+
+def smith_primitive(k, cols):
+    sd = smith(IntMatrix([[c[i] for c in cols] for i in range(k)],
+                         rows=k, cols=len(cols)))
+    return sd.rank == k and all(d == 1 for d in sd.invariant_factors)
+
+
+def frozenset_search(K, cfg):
+    """Reference search without palette codes: columns as tuples, the
+    freeness memo keyed on frozenset(columns of a complement), primitivity
+    by the Smith form.  Returns (found matrices, explored,
+    complete_candidates)."""
+    m, k = K.m, cfg.k
+    found, seen, memo = [], set(), {}
+    counts = {"explored": 0, "complete": 0}
+    comps = K.facet_complements() or [tuple(range(1, m + 1))]
+
+    def first_unfree(columns, constraints):
+        for i, comp in enumerate(constraints):
+            cols = [columns[j - 1] for j in comp]
+            key = frozenset(cols)
+            if key not in memo:
+                memo[key] = smith_primitive(k, cols)
+            if not memo[key]:
+                return i
+        return None
+
+    def record(columns):
+        counts["complete"] += 1
+        key = hermite_normal_form(
+            IntMatrix([[col[i] for col in columns] for i in range(k)],
+                      rows=k, cols=m))
+        if key not in seen:
+            seen.add(key)
+            found.append(key)
+
+    if cfg.mode == "random":
+        rng = random.Random(cfg.seed)
+        for _ in range(cfg.samples):
+            rows = [[rng.choice(cfg.entry_set) for _ in range(m)]
+                    for _ in range(k)]
+            columns = [tuple(row[j] for row in rows) for j in range(m)]
+            counts["explored"] += 1
+            if first_unfree(columns, comps) is None:
+                record(columns)
+        return found, counts["explored"], counts["complete"]
+
+    by_depth = {}
+    for comp in comps:
+        by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
+    column_choices = list(product(cfg.entry_set, repeat=k))
+
+    def dfs(columns):
+        depth = len(columns)
+        if first_unfree(columns, by_depth.get(depth, ())) is not None:
+            return
+        if depth == m:
+            record(columns)
+            return
+        for col in column_choices:
+            counts["explored"] += 1
+            dfs(columns + (col,))
+
+    dfs(())
+    return found, counts["explored"], counts["complete"]
+
+
+class TestAgainstFrozensetSearch:
+    """Palette codes change how the search is keyed, not what it finds:
+    the same found list in the same order, and the same counts."""
+
+    CASES = [(K, entries, k)
+             for K in ORACLE_COMPLEXES + [cyclic_polytope_boundary(4, 6)]
+             for entries in ((0, 1), (-1, 0, 1), (1, 0, -1, 2))
+             for k in (0, 1, 2, 3)
+             if len(entries) ** (k * K.m) <= 3 ** 11]
+
+    def check(self, K, cfg):
+        res = search_free(K, cfg)
+        found, explored, complete = frozenset_search(K, cfg)
+        assert [t.matrix for t in res.found] == found, (K, cfg)
+        assert (res.explored, res.complete_candidates) == (explored,
+                                                          complete)
+        return res
+
+    def test_exhaustive(self):
+        total = 0
+        for K, entries, k in self.CASES:
+            total += len(self.check(K, SearchConfig(k=k, entry_set=entries))
+                         .found)
+        assert total > 100
+
+    def test_random(self):
+        total = 0
+        for K, entries, k in self.CASES:
+            total += len(self.check(K, SearchConfig(
+                k=k, entry_set=entries, mode="random", seed=7 * k + 1,
+                samples=150)).found)
+        assert total > 100
+
+    def test_larger_searches(self):
+        self.check(cyclic_polytope_boundary(4, 6),
+                   SearchConfig(k=2, entry_set=(-1, 0, 1)))
+        K = cyclic_polytope_boundary(6, 9)
+        res = self.check(K, SearchConfig(k=2, entry_set=(0, 1)))
+        assert (len(res.found), res.explored,
+                res.complete_candidates) == (2223, 20700, 4518)
+        self.check(K, SearchConfig(k=2, entry_set=(-1, 0, 1),
+                                   mode="random", seed=5, samples=500))
+        res = self.check(K, SearchConfig(k=3, entry_set=(0, 1)))
+        assert (res.found, res.explored) == ([], 31496)
 
 
 class TestConfig:
@@ -179,3 +295,29 @@ class TestMemo:
                               seed=111985490, samples=2000), 129)]:
             assert evaluations(K, cfg) == want, cfg
             assert evaluations(K, cfg) == want, cfg
+
+    def test_random_palette_restart_changes_no_answer(self, evaluations,
+                                                      monkeypatch):
+        K = cyclic_polytope_boundary(2, 6)
+        cfg = SearchConfig(k=2, entry_set=tuple(range(-3, 4)),
+                           mode="random", seed=12, samples=400)
+        full = evaluations(K, cfg)
+        monkeypatch.setattr(momentangle.search, "RANDOM_PALETTE_LIMIT", 20)
+        assert evaluations(K, cfg) > full  # the palette did start over
+        res = search_free(K, cfg)
+        found, explored, complete = frozenset_search(K, cfg)
+        assert [t.matrix for t in res.found] == found
+        assert (res.explored, res.complete_candidates) == (explored,
+                                                          complete)
+        assert len(found) > 10
+
+    def test_key_is_a_bitmask_of_palette_codes(self):
+        # Two column lists with the same set of distinct columns share one
+        # entry: the key is the set of their palette indices.
+        comps = [(1, 2, 3)]
+        palette = [(1, 0), (0, 1), (1, 1), (2, 2)]
+        memo = {}
+        assert first_unfree(2, palette, [0, 1, 1], comps, memo) is None
+        assert first_unfree(2, palette, [1, 0, 0], comps, memo) is None
+        assert first_unfree(2, palette, [2, 3, 2], comps, memo) == 0
+        assert memo == {0b0011: True, 0b1100: False}

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -37,6 +39,19 @@ class TestSubtorus:
     def test_rejects_non_primitive(self):
         with pytest.raises(ValueError):
             Subtorus(IntMatrix([[2, 0, 0]]))
+
+    def test_wide_entries_stay_fast(self):
+        # A primitivity test through the dense Smith form ran for more
+        # than 40 s on a 10 x 50 matrix with entries in +-1000.
+        rng = random.Random(50)
+        rows = [[rng.randint(-1000, 1000) for _ in range(50)]
+                for _ in range(10)]
+        t0 = time.perf_counter()
+        T = Subtorus(IntMatrix(rows))
+        with pytest.raises(ValueError):
+            Subtorus(IntMatrix([[3 * a for a in rows[0]]] + rows[1:]))
+        assert time.perf_counter() - t0 < 10.0
+        assert (T.k, T.m) == (10, 50)
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
@@ -105,13 +120,15 @@ class TestFreeness:
     def test_memo_is_capped_and_changes_no_answer(self, monkeypatch):
         monkeypatch.setattr(momentangle.torus, "FREENESS_MEMO_LIMIT", 5)
         comps = cyclic_polytope_boundary(6, 9).facet_complements()
+        palette = list(product(range(-2, 3), repeat=2))
         rng = random.Random(8)
         memo = {}
         for _ in range(200):
             columns = [(rng.randint(-2, 2), rng.randint(-2, 2))
                        for _ in range(9)]
-            assert (first_unfree(2, columns, comps, memo)
-                    == first_unfree(2, columns, comps))
+            codes = [palette.index(col) for col in columns]
+            assert (first_unfree(2, palette, codes, comps, memo)
+                    == first_unfree(2, palette, codes, comps))
         assert len(memo) == 5
 
 
