@@ -9,8 +9,8 @@ from .homology import (ChainComplexData, HomologyProfile, SphereCertificate,
                        chain_complex, homology, is_homology_sphere,
                        manifold_verdict)
 from .intlinalg import (AbelianGroupPresentation, IntMatrix,
-                        SmithDecomposition, cokernel, complete_to_unimodular,
-                        det, hermite_normal_form, image_contains,
+                        SmithDecomposition, cokernel, det,
+                        hermite_normal_form, image_contains,
                         is_primitive_rows, kernel_lattice, rank_rational,
                         row_lattice_equal, smith)
 from .pipeline import VerificationReport, verify_c69_example

@@ -31,33 +31,19 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _load_json(path):
+def _load(path, cls, what):
+    """cls.from_json of the JSON file at path.  An unreadable file, bad
+    JSON or JSON of the wrong shape for cls (named by what) is a
+    ValueError naming the path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _load_complex(path):
     try:
-        return SimplicialComplex.from_json(_load_json(path))
+        return cls.from_json(obj)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed complex JSON ({exc})") from exc
-
-
-def _load_matrix(path):
-    try:
-        return IntMatrix.from_json(_load_json(path))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed matrix JSON ({exc})") from exc
-
-
-def _load_torus(path):
-    try:
-        return Subtorus.from_json(_load_json(path))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed subtorus JSON ({exc})") from exc
+        raise ValueError(f"{path}: malformed {what} JSON ({exc})") from exc
 
 
 def _emit(args, payload):
@@ -91,7 +77,7 @@ def cmd_facets_cyclic(args):
 
 
 def cmd_check_manifold(args):
-    K = _load_complex(args.complex)
+    K = _load(args.complex, SimplicialComplex, "complex")
     cert = is_homology_sphere(K)
     payload = {"verdict": cert.verdict,
                "manifold": "certified_manifold" if cert else "unknown",
@@ -102,8 +88,8 @@ def cmd_check_manifold(args):
 
 
 def cmd_check_free(args):
-    K = _load_complex(args.complex)
-    T = _load_torus(args.torus)
+    K = _load(args.complex, SimplicialComplex, "complex")
+    T = _load(args.torus, Subtorus, "subtorus")
     res = acts_freely(T, K)
     payload = {"verdict": res.free,
                "witness_facet": list(res.witness) if res.witness else None}
@@ -114,8 +100,8 @@ def cmd_check_free(args):
 def cmd_extend_char(args):
     if args.seed is None:
         raise ValueError("--seed is required for the randomized extension")
-    K = _load_complex(args.complex)
-    T = _load_torus(args.torus)
+    K = _load(args.complex, SimplicialComplex, "complex")
+    T = _load(args.torus, Subtorus, "subtorus")
     res: ExtensionResult = extend_to_characteristic(
         T, K, entry_bound=args.entry_bound, max_tries=args.max_tries,
         seed=args.seed)
@@ -133,9 +119,9 @@ def _theta_from_args(args):
     if args.theta and args.torus:
         raise ValueError("give --theta or --torus, not both")
     if args.theta:
-        return _load_matrix(args.theta)
+        return _load(args.theta, IntMatrix, "matrix")
     if args.torus:
-        return quotient_projection(_load_torus(args.torus))
+        return quotient_projection(_load(args.torus, Subtorus, "subtorus"))
     raise ValueError("provide either --theta or --torus")
 
 
@@ -168,8 +154,8 @@ def cmd_w2(args):
 
 
 def cmd_sw_quasitoric(args):
-    K = _load_complex(args.complex)
-    lam = _load_matrix(args.char)
+    K = _load(args.complex, SimplicialComplex, "complex")
+    lam = _load(args.char, IntMatrix, "matrix")
     ring = face_ring_mod2(K, lam, generator_degree=args.generator_degree)
     classes = total_sw_class(ring)
     trivial = sw_triviality(ring)
@@ -185,7 +171,7 @@ def cmd_sw_quasitoric(args):
 
 
 def cmd_search_free(args):
-    K = _load_complex(args.complex)
+    K = _load(args.complex, SimplicialComplex, "complex")
     entries = tuple(int(x) for x in args.entries.split(","))
     cfg = SearchConfig(k=args.k, entry_set=entries, mode=args.mode,
                        seed=args.seed, samples=args.samples)

@@ -2,10 +2,11 @@
 
 Everything here runs on Python's arbitrary-precision integers; no
 floating point is used anywhere.  The Smith normal form is the engine
-behind kernels, cokernels and unimodular completions.  Primitivity, the
-question the subtorus search asks most, has its own test on a
-gcd-triangular basis, and the Hermite normal form also works on plain
-rows.
+behind kernel lattices and cokernels; membership in a cokernel (is b in
+the image of A?) reads the cokernel's presentation, so one Smith form
+answers any number of such questions.  Primitivity, the question the
+subtorus search asks most, has its own test on a gcd-triangular basis,
+and the Hermite normal form also works on plain rows.
 """
 
 from __future__ import annotations
@@ -401,33 +402,6 @@ def is_primitive_rows(A):
     return is_primitive_cols(A.rows, zip(*A.data))
 
 
-def complete_to_unimodular(A):
-    """Unimodular M with A @ M == [I_k | 0], for primitive A (k x m).
-
-    Built from U A V = [I_k | 0]: then M = V @ blockdiag(U, I) works,
-    since [I_k | 0] @ blockdiag(U, I) = [U | 0] and A V = U^{-1} [I_k | 0].
-    """
-    k, m = A.rows, A.cols
-    sd = smith(A)
-    if sd.rank != k or any(d != 1 for d in sd.invariant_factors):
-        raise ValueError("rows are not a primitive lattice basis")
-    block = [[0] * m for _ in range(m)]
-    for i in range(k):
-        for j in range(k):
-            block[i][j] = sd.U.data[i][j]
-    for i in range(k, m):
-        block[i][i] = 1
-    M = sd.V @ IntMatrix(block, rows=m, cols=m)
-    prod = A @ M
-    expected = IntMatrix([[int(i == j) for j in range(m)] for i in range(k)],
-                         rows=k, cols=m)
-    if prod != expected:
-        raise InternalError("unimodular completion postcondition failed")
-    if det(M) not in (1, -1):
-        raise InternalError("completion matrix is not unimodular")
-    return M
-
-
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
     """Z^ambient / (column lattice), in Smith-normalized coordinates.
@@ -440,6 +414,23 @@ class AbelianGroupPresentation:
     free_rank: int
     torsion: tuple
     generator_images: IntMatrix
+
+    def vanishes(self, vec):
+        """Is the class of vec, a vector of Z^ambient, zero in the group?
+
+        That is, does vec lie in the column lattice: each torsion
+        coordinate of its image is 0 mod its factor and each free
+        coordinate is 0.
+        """
+        G = self.generator_images
+        if len(vec) != G.cols:
+            raise ValueError("vector length does not match row count")
+        t = len(self.torsion)
+        for i, row in enumerate(G.data):
+            c = sum(a * x for a, x in zip(row, vec))
+            if (c % self.torsion[i] if i < t else c) != 0:
+                return False
+        return True
 
     def to_json(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion),
@@ -467,15 +458,7 @@ def cokernel(A):
 
 def image_contains(A, b):
     """Does A x = b have an integer solution?  b is a length-rows vector."""
-    if len(b) != A.rows:
-        raise ValueError("vector length does not match row count")
-    sd = smith(A)
-    c = [sum(u * x for u, x in zip(row, b)) for row in sd.U.data]
-    r = sd.rank
-    for i in range(r):
-        if c[i] % sd.invariant_factors[i]:
-            return False
-    return all(c[i] == 0 for i in range(r, A.rows))
+    return cokernel(A).vanishes(b)
 
 
 def hermite_normal_form_rows(rows):

@@ -15,8 +15,7 @@ from typing import Optional
 
 from .charclasses import h2_of_quotient, mod2_residue, w2_of_quotient
 from .homology import is_homology_sphere
-from .intlinalg import (IntMatrix, det, image_contains, kernel_lattice,
-                        row_lattice_equal)
+from .intlinalg import IntMatrix, det, kernel_lattice, row_lattice_equal
 from .simplicial import cyclic_polytope_boundary
 from .torus import (Subtorus, acts_freely, cyclic69_free_subtorus,
                     cyclic69_quotient_matrix)
@@ -125,18 +124,18 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
         return fail()
 
     # Stage 6: H^2 = Z^2, torsion-free, with the expected images of the
-    # ambient generators.
+    # ambient generators: each relation v_gen = sum of v_b vanishes in
+    # the presentation.
     pres = h2_of_quotient(Q)
     relations = [(3, (1,)), (5, (1,)), (7, (1,)), (4, (2,)), (6, (2,)),
                  (8, (2,)), (9, (1, 2))]
-    qt = Q.transpose()
     rel_ok = True
     for gen, expr in relations:
         vec = [0] * 9
         vec[gen - 1] = 1
         for b in expr:
             vec[b - 1] -= 1
-        if not image_contains(qt, vec):
+        if not pres.vanishes(vec):
             rel_ok = False
             break
     st = StageResult(

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import (IntMatrix, InternalError, complete_to_unimodular,
-                        det, hermite_normal_form, is_primitive_cols,
-                        is_primitive_rows, kernel_lattice, rank_rational,
-                        row_lattice_equal)
+from .intlinalg import (IntMatrix, InternalError, det, hermite_normal_form,
+                        is_primitive_cols, is_primitive_rows, kernel_lattice,
+                        rank_rational, row_lattice_equal)
 from .simplicial import SimplicialComplex
 
 
@@ -233,8 +232,11 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
     only draws zero rows.  Generic rows succeed with probability
     approaching 1 as the entry bound grows, so failure after max_tries is
     reported, not raised.  The
-    returned lam is a kernel basis of the extended matrix, verified to be
-    a rational characteristic matrix of K with T inside its kernel torus.
+    returned lam is a kernel basis of the extended matrix, with T inside
+    its kernel torus.  By Gale duality (characteristic_duality_holds) the
+    nonzero complement minors make lam a rational characteristic matrix
+    of K; that is checked on every success, and a failure raises
+    InternalError.
     """
     _check_action_input(T, K)
     m = K.m
@@ -259,15 +261,14 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
         extra = [[rng.randint(-bound, bound) for _ in range(m)]
                  for _ in range(need)]
         theta_full = T.matrix.stack(IntMatrix(extra, rows=need, cols=m))
-        if not dets_ok(theta_full):
-            if need == 0:
-                break  # nothing is being sampled; retrying cannot help
-            continue
-        lam = kernel_lattice(theta_full)
-        if is_rational_characteristic(lam, K):
+        if dets_ok(theta_full):
+            lam = kernel_lattice(theta_full)
+            if not is_rational_characteristic(lam, K):
+                raise InternalError(
+                    "kernel of the extension is not characteristic")
             return ExtensionResult(True, theta_full, lam, tries)
         if need == 0:
-            break
+            break  # nothing is being sampled; retrying cannot help
     return ExtensionResult(False, None, None, tries,
                            f"no valid extension in {tries} tries "
                            f"(entry bound {bound})")
@@ -276,16 +277,12 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
 def quotient_projection(T: Subtorus) -> IntMatrix:
     """(m-k) x m matrix presenting T^m -> T^m/T, with T as exact kernel.
 
-    Rows are the last m-k columns of the unimodular completion M with
-    A M = [I_k | 0]; postconditions are checked on every call and raise
-    InternalError.
+    Its rows are kernel_lattice(T.matrix): with U A V = [I_k | 0], the
+    last m-k columns of V span the integer vectors orthogonal to T's
+    rows, and V is unimodular, so they are primitive.  Postconditions
+    are checked on every call and raise InternalError.
     """
-    m, k = T.m, T.k
-    if k == 0:
-        return IntMatrix.identity(m)
-    M = complete_to_unimodular(T.matrix)
-    theta = IntMatrix([[M.data[i][j] for i in range(m)]
-                       for j in range(k, m)], rows=m - k, cols=m)
+    theta = kernel_lattice(T.matrix)
     if not (theta @ T.matrix.transpose()).is_zero():
         raise InternalError("quotient projection does not kill the torus")
     if not is_primitive_rows(theta):

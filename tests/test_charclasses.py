@@ -441,6 +441,31 @@ def test_packed_ring_matches_tuple_ring(label, exponents, gdeg):
     assert sw_numbers(R) == O.sw_numbers(gdeg)
 
 
+W2_CASES = ([(f"cp{n}", (n,)) for n in range(1, 7)]
+            + [(f"cp2x{k}", (2,) * k) for k in range(1, 6)]
+            + [("cp3x3", (3, 3, 3)), ("cp1cp2cp3", (1, 2, 3)),
+               ("rp1x6", (1,) * 6)])
+
+
+@pytest.mark.parametrize("gdeg", (1, 2))
+@pytest.mark.parametrize("label, exponents", W2_CASES,
+                         ids=[c[0] for c in W2_CASES])
+def test_w2_is_first_slice_of_total_class(label, exponents, gdeg):
+    # The partial-quotient w2 of a characteristic matrix equals the
+    # degree-one piece of the full quotient's total class: both are the
+    # class of v_1 + ... + v_m on the non-pivot generators of the same
+    # rref_mod2.
+    K, lam = projective_product(exponents)
+    rng = random.Random(f"w2:{label}:{gdeg}")
+    for _ in range(3):
+        twisted = random_unimodular(rng, lam.rows) @ lam
+        cls, zero = w2_of_quotient(twisted)
+        piece = total_sw_class(face_ring_mod2(K, twisted,
+                                              generator_degree=gdeg))[1]
+        assert cls.coords == piece.coords
+        assert zero == piece.is_zero()
+
+
 def test_square_ring_never_aliases():
     # n = 2 with two free generators: the fields hold exponents up to
     # 2n = 4, the degree of a product of two classes.  Degrees 5-8 are

@@ -278,10 +278,20 @@ class TestGlobalFlags:
         obj = json.loads(out.read_text())
         assert len(obj["facets"]) == 4
 
-    def test_malformed_json_is_input_error(self, tmp_path):
+    def test_malformed_json_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["check-manifold", "--complex", str(bad)]) == 2
+        # Valid JSON of the wrong shape, once per kind of input.
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        for argv, what in [(["check-manifold", "--complex"], "complex"),
+                           (["quotient-h2", "--theta"], "matrix"),
+                           (["w2", "--torus"], "subtorus")]:
+            capsys.readouterr()
+            assert main(argv + [str(empty)]) == 2
+            assert (f"{empty}: malformed {what} JSON"
+                    in capsys.readouterr().err)
 
     def test_missing_file_is_input_error(self):
         assert main(["check-manifold", "--complex", "/nope.json"]) == 2

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -6,8 +7,7 @@ import sys
 import pytest
 
 import momentangle
-from momentangle.intlinalg import (IntMatrix, cokernel,
-                                   complete_to_unimodular, det,
+from momentangle.intlinalg import (IntMatrix, cokernel, det,
                                    hermite_normal_form,
                                    hermite_normal_form_rows, image_contains,
                                    is_primitive_cols, is_primitive_rows,
@@ -316,63 +316,51 @@ class TestPrimitive:
 
 
 class TestCompletion:
-    def test_block_identity(self):
-        A = IntMatrix([[1, 0, 0], [0, 1, 0]])
-        M = complete_to_unimodular(A)
-        assert A @ M == IntMatrix([[1, 0, 0], [0, 1, 0]])
-
-    def test_sum_row(self):
-        A = IntMatrix([[1, 1]])
-        M = complete_to_unimodular(A)
-        assert A @ M == IntMatrix([[1, 0]])
-        assert det(M) in (1, -1)
-
-    def test_non_primitive_raises(self):
-        with pytest.raises(ValueError):
-            complete_to_unimodular(IntMatrix([[2, 0]]))
-
-    def test_random_primitive(self):
-        rng = random.Random(4)
-        done = 0
-        while done < 30:
-            A = random_matrix(rng, rng.randint(1, 3), rng.randint(2, 6),
-                              -4, 4)
-            if not is_primitive_rows(A):
-                continue
-            complete_to_unimodular(A)  # postconditions assert internally
-            done += 1
-
+    """quotient_projection, which replaced the unimodular completion."""
 
     def test_postconditions_survive_python_O(self):
-        # Forced failures of complete_to_unimodular's and
-        # quotient_projection's postconditions must raise InternalError
-        # with asserts stripped.
+        # Each forced failure of quotient_projection's three
+        # postconditions must raise InternalError with asserts stripped.
         script = (
             "import momentangle.intlinalg as il\n"
             "import momentangle.torus as t\n"
             "assert False, 'asserts are live'\n"
-            "A = il.IntMatrix([[1, 1, 0]])\n"
-            "il.det = lambda M: 2\n"
-            "try:\n"
-            "    il.complete_to_unimodular(A)\n"
-            "    raise SystemExit('no raise from complete_to_unimodular')\n"
-            "except il.InternalError as exc:\n"
-            "    print(exc)\n"
-            "il.det = lambda M: 1\n"
-            "t.row_lattice_equal = lambda X, Y: False\n"
-            "try:\n"
-            "    t.quotient_projection(t.Subtorus(A))\n"
-            "    raise SystemExit('no raise from quotient_projection')\n"
-            "except il.InternalError as exc:\n"
-            "    print(exc)\n")
+            "T = t.Subtorus(il.IntMatrix([[1, 1, 0]]))\n"
+            "fakes = [('kernel_lattice', lambda M: il.IntMatrix([[1, 0, 0]])),\n"
+            "         ('is_primitive_rows', lambda M: False),\n"
+            "         ('row_lattice_equal', lambda X, Y: False)]\n"
+            "for name, fake in fakes:\n"
+            "    real = getattr(t, name)\n"
+            "    setattr(t, name, fake)\n"
+            "    try:\n"
+            "        t.quotient_projection(T)\n"
+            "        raise SystemExit('no raise with a fake ' + name)\n"
+            "    except il.InternalError as exc:\n"
+            "        print(exc)\n"
+            "    setattr(t, name, real)\n")
         src = os.path.dirname(os.path.dirname(momentangle.__file__))
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert proc.stdout.splitlines() == [
-            "completion matrix is not unimodular",
+            "quotient projection does not kill the torus",
+            "quotient projection rows are not primitive",
             "quotient projection kernel is not the torus"]
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements, so a postcondition written as
+    # one would silently vanish; every check in the package raises.
+    pkg = os.path.dirname(momentangle.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestCokernel:
@@ -447,6 +435,20 @@ class TestHermite:
                                      IntMatrix([[2, 0]]))
 
 
+def u_reading_image_contains(A, b):
+    """The former image_contains, which reads U of its own Smith form,
+    kept as an oracle."""
+    if len(b) != A.rows:
+        raise ValueError("vector length does not match row count")
+    sd = smith(A)
+    c = [sum(u * x for u, x in zip(row, b)) for row in sd.U.data]
+    r = sd.rank
+    for i in range(r):
+        if c[i] % sd.invariant_factors[i]:
+            return False
+    return all(c[i] == 0 for i in range(r, A.rows))
+
+
 class TestImageMembership:
     def test_in_image(self):
         A = IntMatrix([[2, 0], [0, 3]])
@@ -457,6 +459,43 @@ class TestImageMembership:
         A = IntMatrix([[1], [1]])
         assert image_contains(A, [5, 5])
         assert not image_contains(A, [1, 2])
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="does not match row count"):
+            cokernel(IntMatrix([[2, 0], [0, 3]])).vanishes([1])
+        with pytest.raises(ValueError, match="does not match row count"):
+            image_contains(IntMatrix([[1, 1]]), [])
+
+    def test_vanishes_against_u_reading_oracle(self):
+        rng = random.Random(909)
+        seen = {True: 0, False: 0}
+        torsion = 0
+        for _ in range(400):
+            r, c = rng.randint(0, 5), rng.randint(0, 5)
+            A = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+            if c > 1 and rng.random() < 0.3:   # rank-deficient
+                for row in A:
+                    row[-1] = row[0] - 2 * row[1]
+            if c and rng.random() < 0.3:       # likely torsion
+                for row in A:
+                    row[0] *= rng.choice((2, 3, 4))
+            A = IntMatrix(A, rows=r, cols=c)
+            pres = cokernel(A)
+            torsion += bool(pres.torsion)
+            x = [rng.randint(-3, 3) for _ in range(c)]
+            inside = [sum(a * y for a, y in zip(row, x)) for row in A.data]
+            vectors = [inside, [rng.randint(-3, 3) for _ in range(r)]]
+            if r:
+                shifted = list(inside)
+                shifted[rng.randrange(r)] += 1
+                vectors.append(shifted)
+            for b in vectors:
+                want = u_reading_image_contains(A, b)
+                assert pres.vanishes(b) == want, (A, b)
+                assert image_contains(A, b) == want, (A, b)
+                seen[want] += 1
+            assert pres.vanishes(inside)
+        assert min(seen.values()) > 100 and torsion > 50
 
 
 def quadratic_rref_mod2(bitrows):

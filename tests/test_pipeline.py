@@ -1,3 +1,4 @@
+from momentangle import intlinalg
 from momentangle.intlinalg import IntMatrix
 from momentangle.pipeline import verify_c69_example
 from momentangle.torus import cyclic69_free_subtorus, quotient_projection
@@ -33,6 +34,21 @@ class TestVerify:
         theta = quotient_projection(cyclic69_free_subtorus())
         report = verify_c69_example(theta=theta)
         assert report.passed
+
+    def test_two_smith_forms(self, monkeypatch):
+        # One for the kernel lattice of stage 5 and one for the H^2
+        # presentation of stage 6, whose generator relations are read off
+        # that presentation.
+        shapes = []
+        real = intlinalg.smith
+
+        def counting(A):
+            shapes.append((A.rows, A.cols))
+            return real(A)
+
+        monkeypatch.setattr(intlinalg, "smith", counting)
+        assert verify_c69_example().passed
+        assert shapes == [(7, 9), (9, 7)]
 
     def test_report_json_shape(self):
         obj = verify_c69_example().to_json()

@@ -5,8 +5,9 @@ from itertools import product
 import pytest
 
 import momentangle.torus
-from momentangle.intlinalg import (IntMatrix, hermite_normal_form,
-                                   kernel_lattice, row_lattice_equal)
+from momentangle.intlinalg import (IntMatrix, InternalError, det,
+                                   hermite_normal_form, is_primitive_rows,
+                                   kernel_lattice, row_lattice_equal, smith)
 from momentangle.simplicial import (boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
 from momentangle.torus import (PreconditionError, Subtorus,
@@ -274,6 +275,18 @@ class TestExtension:
                                        seed=5)
         assert res.tries == 1
 
+    def test_non_characteristic_kernel_is_internal_error(self,
+                                                         monkeypatch):
+        # Nonzero complement minors make the kernel characteristic (Gale
+        # duality), so a kernel that is not is a broken postcondition,
+        # not a reason to draw again.  Seed 1 succeeds at its 6th try.
+        monkeypatch.setattr(momentangle.torus, "is_rational_characteristic",
+                            lambda lam, K: False)
+        with pytest.raises(InternalError, match="not characteristic"):
+            extend_to_characteristic(cyclic69_free_subtorus(),
+                                     cyclic_polytope_boundary(6, 9),
+                                     entry_bound=3, max_tries=50, seed=1)
+
     def test_deterministic_for_fixed_seed(self):
         K = cyclic_polytope_boundary(6, 9)
         T = cyclic69_free_subtorus()
@@ -298,3 +311,41 @@ class TestQuotientProjection:
         T = cyclic69_free_subtorus()
         theta = quotient_projection(T)
         assert row_lattice_equal(theta, cyclic69_quotient_matrix())
+
+    def test_matches_completion_oracle(self):
+        rng = random.Random(303)
+        tested = 0
+        for m in range(1, 10):
+            for k in range(m + 1):
+                for _ in range(30):
+                    A = IntMatrix([[rng.randint(-3, 3) for _ in range(m)]
+                                   for _ in range(k)], rows=k, cols=m)
+                    if is_primitive_rows(A):
+                        T = Subtorus(A)
+                        assert (quotient_projection(T)
+                                == completion_quotient_projection(T)), A
+                        tested += 1
+        assert tested > 1000
+        A = cyclic69_free_subtorus().matrix
+        for G in ([[1, 1], [0, 1]], [[0, 1], [1, 0]]):
+            T = Subtorus(IntMatrix(G) @ A)
+            assert quotient_projection(T) == completion_quotient_projection(T)
+
+
+def completion_quotient_projection(T):
+    """The former quotient_projection, kept as an oracle: the last m - k
+    columns of the unimodular completion M = V @ blockdiag(U, I), for
+    which A M = [I_k | 0] when U A V = [I_k | 0]."""
+    m, k = T.m, T.k
+    if k == 0:
+        return IntMatrix.identity(m)
+    sd = smith(T.matrix)
+    block = [[int(i == j and i >= k) for j in range(m)] for i in range(m)]
+    for i in range(k):
+        block[i][:k] = sd.U.data[i]
+    M = sd.V @ IntMatrix(block, rows=m, cols=m)
+    assert T.matrix @ M == IntMatrix(
+        [[int(i == j) for j in range(m)] for i in range(k)], rows=k, cols=m)
+    assert det(M) in (1, -1)
+    return IntMatrix([[M.data[i][j] for i in range(m)]
+                      for j in range(k, m)], rows=m - k, cols=m)
