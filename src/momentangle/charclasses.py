@@ -1,6 +1,7 @@
 """Cohomological outputs of torus quotients.
 
-Two pipelines live here:
+Both outputs read the classes of the generators v_1..v_m in F_2^m modulo
+the row space of theta mod 2, from one reduction (_generator_classes):
 
 * H^2 and w_2 of a partial quotient, straight from the quotient-projection
   matrix: H^2 is the integer cokernel of its transpose, and w_2 is the
@@ -12,7 +13,9 @@ Two pipelines live here:
 * The graded mod-2 face ring of a full quotient (quasitoric manifold for
   generator degree 2, small cover for degree 1), with the total
   Stiefel-Whitney class prod(1 + v_i) and Stiefel-Whitney numbers paired
-  against the fundamental class.
+  against the fundamental class.  Its degree-one generators are the same
+  classes, so its w_2 is the partial-quotient w_2 of the same matrix, in
+  the same basis.
 
 Ring arithmetic is degree-wise GF(2) linear algebra over monomial bases.
 The linear relations are eliminated up front, so only m - n free
@@ -56,39 +59,43 @@ def h2_of_quotient(theta: IntMatrix) -> AbelianGroupPresentation:
     return cokernel(theta.transpose())
 
 
-def mod2_residue(theta: IntMatrix, vec):
-    """Reduce an integer vector mod 2 and then modulo the mod-2 row space
-    of theta.
+def _generator_classes(theta: IntMatrix):
+    """(basis, classes): the classes of v_1..v_m in F_2^m modulo the row
+    space of theta mod 2, from one rref_mod2.
 
-    Returns (residue, pivots): the residue as a bitmask (bit j is
-    coordinate j), zero iff vec lies in the row space, and the pivot
-    positions of the reduced row echelon form of theta mod 2.
+    basis lists the non-pivot indices.  classes[j] is the class of v_j as
+    a bitmask whose set bits are basis indices: 1 << j for a free j, and
+    the reduced row without its pivot bit for a pivot j.
     """
     rows, pivots = rref_mod2(rows_to_bitmasks(theta))
+    classes = [1 << j for j in range(theta.cols)]
+    for row, p in zip(rows, pivots):
+        classes[p] = row ^ (1 << p)
+    pivot_set = set(pivots)
+    return [j for j in range(theta.cols) if j not in pivot_set], classes
+
+
+def mod2_class(theta: IntMatrix, vec) -> Mod2Class:
+    """The class of an integer vector, reduced mod 2, in the mod-2
+    cokernel of theta^T, in the basis of [v_j] for the non-pivot
+    indices j."""
+    basis, classes = _generator_classes(theta)
     mask = 0
     for j, b in enumerate(vec):
         if b & 1:
-            mask |= 1 << j
-    for row, p in zip(rows, pivots):
-        if (mask >> p) & 1:
-            mask ^= row
-    return mask, pivots
+            mask ^= classes[j]
+    ambient = ("H^2 of quotient, mod 2; basis "
+               + ", ".join(f"[v{j + 1}]" for j in basis))
+    return Mod2Class(ambient, tuple((mask >> j) & 1 for j in basis))
 
 
 def w2_of_quotient(theta: IntMatrix):
     """(class of v_1+...+v_m in the mod-2 cokernel, is_zero flag).
 
-    Membership of the all-ones vector in the mod-2 row space of theta
-    decides vanishing; the coordinates are w.r.t. the basis of [v_i] for
-    the non-pivot generator indices.
+    The class vanishes iff the all-ones vector lies in the mod-2 row
+    space of theta.
     """
-    m = theta.cols
-    vec, pivots = mod2_residue(theta, [1] * m)
-    basis = [j for j in range(m) if j not in set(pivots)]
-    coords = tuple((vec >> j) & 1 for j in basis)
-    ambient = ("H^2 of quotient, mod 2; basis "
-               + ", ".join(f"[v{j + 1}]" for j in basis))
-    cls = Mod2Class(ambient, coords)
+    cls = mod2_class(theta, [1] * theta.cols)
     return cls, cls.is_zero()
 
 
@@ -135,15 +142,14 @@ class GradedMod2Ring:
         n = K.dimension + 1
         if lam_mod2.rows != n:
             raise ValueError(f"need {n} rows, got {lam_mod2.rows}")
-        bitrows = rows_to_bitmasks(lam_mod2)
-        rows, pivots = rref_mod2(bitrows)
-        if len(rows) != n:
+        basis, classes = _generator_classes(lam_mod2)
+        if len(basis) != K.m - n:
             raise ValueError("linear forms are not independent mod 2")
-        colmask = [sum(((row >> j) & 1) << i for i, row in enumerate(bitrows))
-                   for j in range(K.m)]
-        for sigma in K.facets:
-            r, _ = rref_mod2([colmask[v - 1] for v in sigma])
-            if len(r) != n:
+        # Gale duality: the columns on sigma have rank n mod 2 iff the
+        # classes of the generators outside sigma span the quotient.
+        for sigma, comp in zip(K.facets, K.facet_complements()):
+            r, _ = rref_mod2([classes[v - 1] for v in comp])
+            if len(r) != K.m - n:
                 raise ValueError(
                     f"not characteristic mod 2: facet {sigma} is singular")
 
@@ -151,21 +157,16 @@ class GradedMod2Ring:
         self.m = K.m
         self.generator_degree = generator_degree
         self.top_algebraic = n
-        pivot_set = set(pivots)
-        self.free_vars = [j for j in range(self.m) if j not in pivot_set]
+        self.free_vars = basis
         # A product of two classes has degree at most 2n and a minimal
         # non-face at most n + 1 vertices; no exponent exceeds that.
         width = max(2 * n, n + 1).bit_length()
         self._width = width
-        unit = {j: 1 << (width * i) for i, j in enumerate(self.free_vars)}
-        self._units = list(unit.values())
+        self._units = [1 << (width * i) for i in range(len(basis))]
 
         # Substitution: generator -> sum of free generators.
-        self._subst = [frozenset({unit[j]}) if j in unit else None
-                       for j in range(self.m)]
-        for row, p in zip(rows, pivots):
-            self._subst[p] = frozenset(u for j, u in unit.items()
-                                       if (row >> j) & 1)
+        self._subst = [frozenset(u for j, u in zip(basis, self._units)
+                                 if (cls >> j) & 1) for cls in classes]
 
         self._relations = []
         for nonface in K.minimal_nonfaces():
@@ -321,15 +322,6 @@ def sw_triviality(R: GradedMod2Ring) -> bool:
     return not any(_sw_pieces(R)[1:])
 
 
-def _partitions(total, largest):
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
-
-
 def sw_numbers(R: GradedMod2Ring):
     """Every Stiefel-Whitney number: monomials in the w_i of total real
     degree equal to the real dimension, paired with the fundamental
@@ -338,23 +330,23 @@ def sw_numbers(R: GradedMod2Ring):
         raise ValueError("no fundamental class: top degree dimension "
                          f"is {R.dim(R.top)}")
     pieces = _sw_pieces(R)
-    # Consecutive partitions share prefixes; each prefix product is
-    # formed once.
-    products = {(): frozenset({0})}
     out = {}
-    for partition in _partitions(R.top, R.top):
-        t = 0
-        for k, part in enumerate(partition, 1):
-            prefix = partition[:k]
-            if prefix not in products:
-                products[prefix] = R.multiply(products[prefix[:-1]], t,
-                                              pieces[part], part)
-            t += part
-        value = R.fundamental_pairing(products[partition])
-        names = []
-        for part in sorted(set(partition), reverse=True):
-            e = partition.count(part)
-            name = f"w{part * R.generator_degree}"
-            names.append(name if e == 1 else f"{name}^{e}")
-        out[" ".join(names)] = value
+
+    # Depth-first over partitions with non-increasing parts, carrying
+    # the product of the prefix, so each prefix is multiplied once.
+    def walk(partition, t, product):
+        if t == R.top:
+            names = []
+            for part in sorted(set(partition), reverse=True):
+                e = partition.count(part)
+                name = f"w{part * R.generator_degree}"
+                names.append(name if e == 1 else f"{name}^{e}")
+            out[" ".join(names)] = R.fundamental_pairing(product)
+            return
+        largest = partition[-1] if partition else R.top
+        for part in range(min(R.top - t, largest), 0, -1):
+            walk(partition + (part,), t + part,
+                 R.multiply(product, t, pieces[part], part))
+
+    walk((), 0, frozenset({0}))
     return out

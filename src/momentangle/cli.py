@@ -49,8 +49,11 @@ def _load(path, cls, what):
 def _emit(args, payload):
     text = json.dumps(payload, indent=2)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"{args.json_out}: {exc}") from exc
     if not args.quiet:
         try:
             print(text)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .charclasses import h2_of_quotient, mod2_residue, w2_of_quotient
+from .charclasses import h2_of_quotient, mod2_class, w2_of_quotient
 from .homology import is_homology_sphere
 from .intlinalg import IntMatrix, det, kernel_lattice, row_lattice_equal
 from .simplicial import cyclic_polytope_boundary
@@ -147,17 +147,14 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     if not st.passed:
         return fail()
 
-    # Stage 7: w2 is [v1] + [v2], nonzero.  Class equality is checked
-    # basis-independently: (all-ones) - e1 - e2 must lie in the mod-2 row
-    # space of the quotient matrix.
+    # Stage 7: w2 is [v1] + [v2], nonzero.  Both classes come in the
+    # same basis of the mod-2 cokernel, so equal coordinates mean equal
+    # classes.
     cls, zero = w2_of_quotient(Q)
-    diff = [1] * 9
-    diff[0] ^= 1
-    diff[1] ^= 1
-    diff_zero = mod2_residue(Q, diff)[0] == 0
-    st = StageResult("w2", (not zero) and diff_zero,
+    same = mod2_class(Q, [1, 1] + [0] * (Q.cols - 2)) == cls
+    st = StageResult("w2", (not zero) and same,
                      {"coords": list(cls.coords), "nonzero": not zero,
-                      "equals_v1_plus_v2": diff_zero})
+                      "equals_v1_plus_v2": same})
     stages.append(st)
     if not st.passed:
         return fail()

@@ -5,9 +5,9 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from momentangle import charclasses
-from momentangle.charclasses import (_partitions, _poly_mul, face_ring_mod2,
-                                     h2_of_quotient, mod2_residue,
-                                     sw_numbers, sw_triviality,
+from momentangle.charclasses import (GradedMod2Ring, _poly_mul,
+                                     face_ring_mod2, h2_of_quotient,
+                                     mod2_class, sw_numbers, sw_triviality,
                                      total_sw_class, w2_of_quotient)
 from momentangle.cli import main
 from momentangle.intlinalg import (IntMatrix, image_contains,
@@ -106,12 +106,60 @@ class TestW2:
         _, zero = w2_of_quotient(Q2)
         assert not zero
 
-    def test_mod2_residue(self):
+    def test_mod2_class(self):
         theta = IntMatrix([[1, -1, 0, 0], [0, 0, 3, 1]])
-        assert mod2_residue(theta, [3, 1, 2, 0])[0] == 0  # row 1 mod 2
-        assert mod2_residue(theta, [1, 1, 1, 1])[0] == 0  # sum of rows
-        residue, pivots = mod2_residue(theta, [1, 0, 0, 0])
-        assert residue == 0b0001 and pivots == [1, 3]
+        assert mod2_class(theta, [3, 1, 2, 0]).is_zero()  # row 1 mod 2
+        assert mod2_class(theta, [1, 1, 1, 1]).is_zero()  # sum of rows
+        cls = mod2_class(theta, [1, 0, 0, 0])
+        assert cls.coords == (1, 0)
+        assert cls.ambient == "H^2 of quotient, mod 2; basis [v1], [v3]"
+
+
+def mod2_residue(theta, vec):
+    """The reduction of vec mod 2 and mod the mod-2 row space of theta, as
+    a bitmask, with the pivots of theta's rref_mod2: the w2 path before
+    the generator classes were shared with the face ring, kept here as
+    the oracle."""
+    rows, pivots = rref_mod2(rows_to_bitmasks(theta))
+    mask = 0
+    for j, b in enumerate(vec):
+        if b & 1:
+            mask |= 1 << j
+    for row, p in zip(rows, pivots):
+        if (mask >> p) & 1:
+            mask ^= row
+    return mask, pivots
+
+
+def test_mod2_class_matches_residue_oracle():
+    rng = random.Random(10)
+    for r in range(7):
+        for m in range(10):
+            for _ in range(6):
+                data = [[rng.randint(-3, 3) for _ in range(m)]
+                        for _ in range(r)]
+                if r >= 2 and rng.random() < 0.5:
+                    # A row equal to another mod 2.
+                    i, k = rng.sample(range(r), 2)
+                    data[k] = [a + 2 * rng.randint(-1, 1) for a in data[i]]
+                if r and rng.random() < 0.3:
+                    data[rng.randrange(r)] = [2 * rng.randint(-1, 1)
+                                              for _ in range(m)]
+                theta = IntMatrix(data, rows=r, cols=m)
+                vecs = [[rng.randint(-4, 4) for _ in range(m)],
+                        [2 * rng.randint(-2, 2) for _ in range(m)],
+                        [1] * m, [0] * m]
+                vecs += [list(row) for row in data]
+                for vec in vecs:
+                    residue, pivots = mod2_residue(theta, vec)
+                    basis = [j for j in range(m) if j not in pivots]
+                    cls = mod2_class(theta, vec)
+                    assert cls.coords == tuple((residue >> j) & 1
+                                               for j in basis)
+                    assert cls.is_zero() == (residue == 0)
+                cls, zero = w2_of_quotient(theta)
+                assert zero == (mod2_residue(theta, [1] * m)[0] == 0)
+                assert cls == mod2_class(theta, [1] * m)
 
 
 class TestFaceRing:
@@ -354,10 +402,19 @@ class TupleRing:
             parts = {t: self.reduce(p, t) for t, p in new.items()}
         return [parts.get(j, frozenset()) for j in range(self.top + 1)]
 
+    @staticmethod
+    def partitions(total, largest):
+        if total == 0:
+            yield ()
+            return
+        for part in range(min(total, largest), 0, -1):
+            for rest in TupleRing.partitions(total - part, part):
+                yield (part,) + rest
+
     def sw_numbers(self, gdeg):
         polys = self.total_class()
         out = {}
-        for partition in _partitions(self.top, self.top):
+        for partition in self.partitions(self.top, self.top):
             acc = frozenset({(0,) * self.nfree})
             t = 0
             for part in partition:
@@ -464,6 +521,74 @@ def test_w2_is_first_slice_of_total_class(label, exponents, gdeg):
                                               generator_degree=gdeg))[1]
         assert cls.coords == piece.coords
         assert zero == piece.is_zero()
+
+
+def colmask_first_singular(K, lam):
+    """The ring's facet test before it read the generator classes: rank n
+    mod 2 of the columns on each facet.  Returns "dependent" for
+    dependent rows, else the first singular facet, else None."""
+    n = K.dimension + 1
+    bitrows = rows_to_bitmasks(lam)
+    if len(rref_mod2(bitrows)[0]) != n:
+        return "dependent"
+    colmask = [sum(((row >> j) & 1) << i for i, row in enumerate(bitrows))
+               for j in range(K.m)]
+    for sigma in K.facets:
+        if len(rref_mod2([colmask[v - 1] for v in sigma])[0]) != n:
+            return sigma
+    return None
+
+
+def test_facet_test_matches_colmask_oracle():
+    rng = random.Random(11)
+    seen = set()
+    cases = [(n,) for n in range(1, 7)] + [(2,) * k for k in range(1, 5)]
+    for exponents in cases:
+        K, lam = projective_product(exponents)
+        for trial in range(12):
+            data = [list(row) for row in
+                    (random_unimodular(rng, lam.rows) @ lam).data]
+            j = rng.randrange(K.m)
+            for row in data:
+                row[j] = rng.randint(-2, 2)
+            if trial % 4 == 0:
+                # A last row equal to the first mod 2, or even if alone.
+                first = data[0] if len(data) > 1 else [0] * K.m
+                data[-1] = [a + 2 * b for a, b in zip(first, data[-1])]
+            lam2 = IntMatrix(data)
+            want = colmask_first_singular(K, lam2)
+            if want is None:
+                face_ring_mod2(K, lam2)
+                seen.add("accepted")
+                continue
+            with pytest.raises(ValueError) as exc:
+                face_ring_mod2(K, lam2)
+            if want == "dependent":
+                assert str(exc.value) == \
+                    "linear forms are not independent mod 2"
+                seen.add("dependent")
+            else:
+                assert str(exc.value) == \
+                    f"not characteristic mod 2: facet {want} is singular"
+                seen.add("first" if want == K.facets[0] else "later")
+    assert seen == {"accepted", "dependent", "first", "later"}
+
+
+def test_sw_numbers_multiply_count_on_cp2x5(monkeypatch):
+    # Each prefix of the 42 partitions of 10 is multiplied once.
+    K, lam = projective_product((2,) * 5)
+    R = face_ring_mod2(K, lam)
+    calls = []
+    multiply = GradedMod2Ring.multiply
+
+    def counting(self, p, tp, q, tq):
+        calls.append((tp, tq))
+        return multiply(self, p, tp, q, tq)
+
+    monkeypatch.setattr(GradedMod2Ring, "multiply", counting)
+    nums = sw_numbers(R)
+    assert len(nums) == 42
+    assert len(calls) == 138
 
 
 def test_square_ring_never_aliases():

@@ -296,6 +296,16 @@ class TestGlobalFlags:
     def test_missing_file_is_input_error(self):
         assert main(["check-manifold", "--complex", "/nope.json"]) == 2
 
+    def test_unwritable_json_out_is_input_error(self, capsys, tmp_path):
+        # A directory, and a path whose parent does not exist.
+        for target in (tmp_path, tmp_path / "missing" / "x.json"):
+            capsys.readouterr()
+            assert main(["--json-out", str(target),
+                         "facets-cyclic", "4", "6"]) == 2
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            assert f"input error: {target}:" in captured.err
+
     def test_unexpected_exception_is_internal_error(self, capsys,
                                                    monkeypatch):
         # A crash must not exit 1, which reads as a negative verdict.

@@ -71,6 +71,25 @@ class TestSmith:
             assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
             assert len(d) == rank_rational(A)
 
+    def test_sympy_cross_check(self):
+        # |diag S| against sympy's Smith form, with the transforms checked
+        # by sympy's determinant, on shapes 1..6 x 1..8 with entries -3..3.
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        rng = random.Random(20261019)
+        for trial in range(300):
+            r, c = rng.randint(1, 6), rng.randint(1, 8)
+            A = random_matrix(rng, r, c, -3, 3)
+            sd = smith(A)
+            want = normalforms.smith_normal_form(sympy.Matrix(A.data),
+                                                 domain=sympy.ZZ)
+            diag = [abs(int(want[i, i])) for i in range(min(r, c))]
+            assert [abs(sd.S.data[i][i]) for i in range(min(r, c))] \
+                == diag, A
+            assert sd.U @ A @ sd.V == sd.S
+            assert abs(sympy.Matrix(sd.U.data).det()) == 1
+            assert abs(sympy.Matrix(sd.V.data).det()) == 1
+
     def test_det_equals_product_of_factors(self):
         rng = random.Random(5)
         done = 0
@@ -183,6 +202,30 @@ class TestKernel:
             assert (A @ ker.transpose()).is_zero()
             if ker.rows:
                 assert is_primitive_rows(ker)
+
+
+    def test_sympy_cross_check(self):
+        # On every shape from 0 x 0 to 6 x 8: rank, annihilation,
+        # primitivity, and the rational span of sympy's nullspace.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261020)
+        for trial in range(300):
+            r, c = rng.randint(0, 6), rng.randint(0, 8)
+            rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+            if r > 1 and trial % 3 == 0:
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            A = IntMatrix(rows, rows=r, cols=c)
+            S = sympy.Matrix(r, c, [a for row in rows for a in row])
+            ker = kernel_lattice(A)
+            assert ker.cols == c
+            assert ker.rows == c - S.rank(), rows
+            assert (A @ ker.transpose()).is_zero()
+            if ker.rows:
+                assert is_primitive_rows(ker)
+                # Every rational null vector lies in the span of ker.
+                span = sympy.Matrix(ker.data)
+                for v in S.nullspace():
+                    assert span.col_join(v.T).rank() == ker.rows, rows
 
 
 class TestPrimitive:
