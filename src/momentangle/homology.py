@@ -6,6 +6,14 @@ every vertex link passes recursively one dimension down.  Passing makes
 the associated moment-angle complex a certified topological manifold;
 failing only yields "unknown" since the criterion is sufficient, not
 necessary.
+
+The root complex always gets its homology, which callers report.  Below
+the root, each complex is a list of facet bitmasks and its homology
+condition is discharged by a collapse first: if the complex less one
+top-dimensional facet collapses to a vertex, the complex is homotopy
+equivalent to a sphere (Whitehead; greedy collapses as in Benedetti and
+Lutz, Exp. Math. 2014).  A failed collapse proves nothing, so only then
+is the homology computed, with its d o d check, as the fallback.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .intlinalg import IntMatrix, InternalError, sparse_invariant_factors
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _bitmask
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,11 @@ class SphereCertificate:
     # and kept for callers that report it; not part of the JSON.
     homology: Optional[HomologyProfile] = field(default=None, compare=False,
                                                 repr=False)
+    # Nonempty complexes of the table whose homology condition was settled
+    # by a collapse and by homology, {"collapse": n, "homology": n}; not
+    # part of the JSON.
+    settled_by: dict = field(default_factory=dict, compare=False,
+                             repr=False)
 
     def __bool__(self):
         return self.verdict
@@ -163,55 +176,158 @@ def _key_str(key):
     return f"{key[0]}:" + ";".join(",".join(map(str, f)) for f in key[1])
 
 
-def _canonical_key(K: SimplicialComplex):
-    # Ghost vertices do not change the space, so key on the relabeled
-    # support only; this also makes memoization hit across links.
-    supp = K.support()
-    relabel = {v: i + 1 for i, v in enumerate(supp)}
-    facets = tuple(sorted(tuple(relabel[v] for v in f) for f in K.facets))
-    return (len(supp), facets)
+def _bits(mask):
+    """The one-bit masks of mask, lowest first."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit)
+        mask ^= bit
+    return out
 
 
-def _check_sphere(K, key, memo, table, prof=None):
-    """Certify K, whose canonical key is key; prof is homology(K) when the
-    caller already has it."""
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # guard; overwritten below
-    dim = K.dimension
-    if dim < 0:
-        # The empty complex is the (-1)-sphere.
-        memo[key] = True
-        table[key] = {"dim": -1, "homology_matches_sphere": True,
-                      "vertex_links": {}}
-        return True
-    if prof is None:
-        prof = homology(K, reduced=True)
-    hom_ok = _matches_sphere(prof, dim)
-    links = {}
-    ok = hom_ok
-    if hom_ok:
-        for v in K.support():
-            L, _ = K.link((v,))
-            link_key = _canonical_key(L)
-            links[v] = _key_str(link_key)
-            if (L.dimension != dim - 1
-                    or not _check_sphere(L, link_key, memo, table)):
-                ok = False
-                break
-    memo[key] = ok
-    table[key] = {"dim": dim, "homology_matches_sphere": hom_ok,
-                  "vertex_links": links}
-    return ok
+def _canonical_key(masks):
+    """(support size, relabeled facets) of the complex whose facets are
+    the nonempty bitmasks masks.  Ghost vertices do not change the space,
+    so key on the relabeled support only; this also makes memoization hit
+    across links."""
+    supp = 0
+    for f in masks:
+        supp |= f
+    label = {bit: i for i, bit in enumerate(_bits(supp), 1)}
+    facets = [tuple([label[bit] for bit in _bits(f)]) for f in masks]
+    facets.sort()
+    return (len(label), tuple(facets))
+
+
+def _dimension(masks):
+    return max(map(int.bit_count, masks), default=0) - 1
+
+
+def _collapses_off_a_facet(masks):
+    """True when the complex with these nonempty facet bitmasks, less the
+    interior of one top-dimensional facet D, collapses to a single vertex.
+
+    Then K - D is contractible, and K is K - D with one cell attached
+    along the boundary of D, so K is homotopy equivalent to the sphere of
+    its dimension (Whitehead).  The collapse is greedy, from a stack of
+    free faces: a free face has exactly one live codimension-one coface,
+    which is then maximal, and the pair is removed.  Each live face keeps
+    the count and the xor of its live codimension-one cofaces, so the xor
+    of a free face is its coface.  False proves nothing: a greedy
+    collapse can get stuck.
+    """
+    # Faces top down from the facets, which have no cofaces: a face joins
+    # todo when first reached from a coface, so each is expanded once.
+    count = dict.fromkeys(masks, 0)  # live face -> live cofaces
+    xor = dict.fromkeys(masks, 0)    # live face -> xor of live cofaces
+    below = {}                       # face -> its codimension-one faces
+    todo = list(masks)
+    while todo:
+        face = todo.pop()
+        subs = below[face] = []
+        if not face & (face - 1):
+            continue  # a vertex: the empty face is not in the complex
+        rest = face
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            sub = face ^ bit
+            subs.append(sub)
+            if sub in count:
+                count[sub] += 1
+                xor[sub] ^= face
+            else:
+                count[sub] = 1
+                xor[sub] = face
+                todo.append(sub)
+    top = max(masks, key=int.bit_count)
+    del count[top]
+    for sub in below[top]:
+        count[sub] -= 1
+        xor[sub] ^= top
+    free = [face for face, n in count.items() if n == 1]
+    while free:
+        face = free.pop()
+        if count.get(face) != 1:
+            continue  # collapsed already, or no longer free
+        for gone in (xor[face], face):
+            del count[gone]
+            for sub in below[gone]:
+                n = count[sub] - 1
+                count[sub] = n
+                xor[sub] ^= gone
+                if n == 1:
+                    free.append(sub)
+    return len(count) == 1
 
 
 def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
+    """Certify K by the recursive-links criterion.
+
+    Below the root a complex is its facet bitmasks in K's labels, and a
+    vertex link is taken on the masks.  Its homology condition is settled
+    by _collapses_off_a_facet when that succeeds; only otherwise is a
+    SimplicialComplex built from the canonical key for homology.  The root
+    always gets homology(K), which the certificate keeps for callers.
+    """
     memo, table = {}, {}
-    root = _canonical_key(K)
+    names = {}  # key -> _key_str(key), since links recur across parents
+    settled = {"collapse": 0, "homology": 0}
+
+    def check(masks, removed, key, prof=None):
+        """Certify the complex with facet bitmasks masks and canonical key
+        key, whose vertices are K's less the mask removed; prof is its
+        homology when the caller already has it."""
+        if key in memo:
+            return memo[key]
+        memo[key] = False  # guard; overwritten below
+        dim = _dimension(masks)
+        if dim < 0:
+            # The empty complex is the (-1)-sphere.
+            memo[key] = True
+            table[key] = {"dim": -1, "homology_matches_sphere": True,
+                          "vertex_links": {}}
+            return True
+        if prof is None and _collapses_off_a_facet(masks):
+            settled["collapse"] += 1
+            hom_ok = True
+        else:
+            if prof is None:
+                prof = homology(SimplicialComplex(*key), reduced=True)
+            settled["homology"] += 1
+            hom_ok = _matches_sphere(prof, dim)
+        links = {}
+        ok = hom_ok
+        if hom_ok:
+            supp = 0
+            for f in masks:
+                supp |= f
+            for bit in _bits(supp):
+                link = [f ^ bit for f in masks if f & bit and f != bit]
+                link_key = _canonical_key(link)
+                # The vertex's label as SimplicialComplex.link numbers it:
+                # its label in K less the removed vertices below it.
+                label = bit.bit_length() - (removed & (bit - 1)).bit_count()
+                name = names.get(link_key)
+                if name is None:
+                    name = names[link_key] = _key_str(link_key)
+                links[label] = name
+                if (_dimension(link) != dim - 1
+                        or not check(link, removed | bit, link_key)):
+                    ok = False
+                    break
+        memo[key] = ok
+        table[key] = {"dim": dim, "homology_matches_sphere": hom_ok,
+                      "vertex_links": links}
+        return ok
+
+    masks = [_bitmask(f) for f in K.facets]
+    root = _canonical_key(masks)
     prof = homology(K, reduced=True)
-    verdict = _check_sphere(K, root, memo, table, prof)
+    verdict = check(masks, 0, root, prof)
     return SphereCertificate(verdict=verdict, root=root, complexes=table,
-                             homology=prof)
+                             homology=prof, settled_by=settled)
 
 
 def manifold_verdict(K: SimplicialComplex) -> str:

@@ -6,7 +6,9 @@ columns: every k-tuple over the entry set in exhaustive mode, the
 columns drawn so far in random mode.  Freeness comes from
 torus.first_unfree, the test behind acts_freely.  Exhaustive mode builds
 candidates column by column and checks each facet complement once its
-last column is chosen, pruning the prefix if it fails; random mode draws
+last column is chosen, pruning the prefix if it fails; it explores
+nothing when k exceeds the size of the smallest facet complement, since
+fewer than k columns never generate Z^k.  Random mode draws
 cfg.samples >= 1 candidates.  Each search_free call owns one memo of
 that test, keyed on the int bitmask of the palette codes of a
 complement, that is on its set of distinct columns, so the test runs
@@ -146,6 +148,11 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
                 record(codes)
         return result
 
+    # Fewer than k columns never generate Z^k, so when k exceeds the
+    # smallest facet complement no candidate is free: answer "none" with
+    # nothing explored, before building the |E|^k palette.
+    if k > min(map(len, comps)):
+        return result
     # The palette is every k-tuple over the entry set, in product order.
     palette.extend(product(cfg.entry_set, repeat=k))
     by_depth = {}  # last column -> constraints; 0 for an empty complement

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +14,13 @@ from momentangle.cli import main
 from momentangle.intlinalg import IntMatrix
 from momentangle.simplicial import boundary_of_simplex, cyclic_polytope_boundary
 from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
+
+
+# The 6-vertex real projective plane and the 7-vertex torus: no spheres.
+RP2_6 = [(1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
+         (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+TORUS_7 = [(i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1)
+           for i in range(7) for a in (1, 2)]
 
 
 @pytest.fixture
@@ -78,7 +87,7 @@ class TestCheckManifold:
         assert obj["manifold"] == "certified_manifold"
 
     def test_root_homology_computed_once(self, capsys, c69_file,
-                                         monkeypatch):
+                                         monkeypatch, no_collapse):
         hmod = sys.modules["momentangle.homology"]
         real = hmod.homology
         calls = []
@@ -97,6 +106,69 @@ class TestCheckManifold:
         assert len(calls) == sum(
             1 for c in obj["certificate"]["complexes"].values()
             if c["dim"] >= 0)
+
+    def test_homology_for_root_and_stuck_collapses(self, capsys, c69_file,
+                                                   monkeypatch):
+        hmod = sys.modules["momentangle.homology"]
+        real_homology, real_collapse = (hmod.homology,
+                                        hmod._collapses_off_a_facet)
+        calls, stuck = [], []
+
+        def counted(K, reduced=True):
+            calls.append(None)
+            return real_homology(K, reduced)
+
+        def collapse(masks):
+            collapsed = real_collapse(masks)
+            if not collapsed:
+                stuck.append(None)
+            return collapsed
+
+        monkeypatch.setattr(hmod, "homology", counted)
+        monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
+        code, obj = run_json(capsys, ["check-manifold", "--complex",
+                                      c69_file])
+        assert code == 0
+        assert obj["homology"] == real_homology(
+            cyclic_polytope_boundary(6, 9)).to_json()
+        assert len(calls) == 1 + len(stuck)
+        assert stuck == []  # every link of the 5-sphere collapses
+
+    def test_reports_identical_when_every_collapse_fails(
+            self, capsys, tmp_path, request):
+        rng = random.Random(20261018)
+        inputs = {"rp2_6": RP2_6, "torus_7": TORUS_7}
+        for n, m in ((4, 12), (5, 10), (6, 9), (6, 10)):
+            K = cyclic_polytope_boundary(n, m)
+            perm = rng.sample(range(1, m + 1), m)
+            inputs[f"c{n}_{m}-gale"] = K.facets
+            inputs[f"c{n}_{m}-relabelled"] = [[perm[v - 1] for v in f]
+                                              for f in K.facets]
+        inputs["c8_12-gale"] = cyclic_polytope_boundary(8, 12).facets
+        paths = {}
+        for name, facets in inputs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(
+                {"m": max(max(f) for f in facets),
+                 "facets": [list(f) for f in facets]}))
+
+        def reports():
+            out = {}
+            for name, path in paths.items():
+                code = main(["check-manifold", "--complex", str(path)])
+                out[name] = (code, capsys.readouterr().out)
+            return out
+
+        default = reports()
+        request.getfixturevalue("no_collapse")
+        assert reports() == default
+        for name, (code, _) in default.items():
+            assert code == (0 if name.startswith("c") else 1), name
+        complexes = json.loads(default["c8_12-gale"][1])[
+            "certificate"]["complexes"]
+        assert len(complexes) == 220
+        assert all(rec["homology_matches_sphere"]
+                   for rec in complexes.values())
 
     def test_unknown(self, capsys, tmp_path):
         path = tmp_path / "edge.json"
@@ -224,6 +296,21 @@ class TestSearchFree:
         assert code == 0
         assert obj["found"]
         assert "bounded evidence" in obj["note"]
+
+    def test_reports_within_trivial_bound_unchanged(self, capsys,
+                                                    c69_file):
+        # m - n = 3 on the boundary of C6(9): k = 2 and 3 search in full,
+        # and their reports keep the bytes they had before k > m - n
+        # returned early.
+        for k, code, digest in (
+                ("2", 0, "22c258c3b890ed31bb5483623ff950666abd70a3"
+                         "7b7566c20eb045d0eba904ef"),
+                ("3", 1, "a81f62afc284602120acebcaf049c671b87c9de5"
+                         "ba84b064ca99537297929ff6")):
+            assert main(["search-free", "--complex", c69_file,
+                         "--k", k]) == code
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, k
 
     def test_negative_k_is_input_error(self, capsys, tmp_path):
         cpath = tmp_path / "tri.json"

@@ -7,12 +7,13 @@ import sys
 import pytest
 
 import momentangle
-from momentangle.homology import (InternalError,
-                                  _check_boundary_squared_zero, chain_complex,
-                                  homology, is_homology_sphere,
+from momentangle.homology import (InternalError, SphereCertificate,
+                                  _check_boundary_squared_zero,
+                                  _collapses_off_a_facet, _key_str,
+                                  chain_complex, homology, is_homology_sphere,
                                   manifold_verdict)
 from momentangle.intlinalg import rank_mod2, smith
-from momentangle.simplicial import (boundary_of_simplex,
+from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
 
 # Minimal 6-vertex triangulation of the real projective plane: the one
@@ -24,6 +25,14 @@ RP2 = new_complex(6, [
 # Suspension of RP^2 (Z/2 moves up to H_2) and the cone over it (acyclic).
 SUSP_RP2 = new_complex(8, [f + (v,) for f in RP2.facets for v in (7, 8)])
 CONE_RP2 = new_complex(7, [f + (7,) for f in RP2.facets])
+# The 7-vertex torus: all vertex links are circles, H_1 = Z^2.
+TORUS_7 = new_complex(7, [(i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1)
+                          for i in range(7) for a in (1, 2)])
+# The tetrahedron boundary with a fin: a triangle glued along the edge 12.
+# Homotopy equivalent to S^2, but the link of the edge 12 is three points,
+# a complex whose collapse gets stuck.
+FIN = new_complex(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+                      (1, 2, 5)])
 
 
 def dense_reference(K, reduced):
@@ -57,6 +66,75 @@ def random_complex(rng):
     return new_complex(m, [rng.sample(range(1, m + 1),
                                       rng.randint(1, min(m, 4)))
                            for _ in range(rng.randint(1, 9))])
+
+
+def relabelled(K, rng, ghosts=0):
+    """K under a seeded bijection onto a random part of 1..K.m + ghosts."""
+    perm = rng.sample(range(1, K.m + ghosts + 1), K.m)
+    return new_complex(K.m + ghosts,
+                       [[perm[v - 1] for v in f] for f in K.facets])
+
+
+def cone(K):
+    return new_complex(K.m + 1, [f + (K.m + 1,) for f in K.facets])
+
+
+def suspension(K):
+    return new_complex(K.m + 2, [f + (v,) for f in K.facets
+                                 for v in (K.m + 1, K.m + 2)])
+
+
+def masks_of(K):
+    return [_bitmask(f) for f in K.facets]
+
+
+def matches_sphere(K):
+    prof = homology(K)
+    return (prof.betti == tuple(int(d == K.dimension)
+                                for d in prof.degrees())
+            and not any(prof.torsion))
+
+
+def reference_certificate(K):
+    """The certificate as the recursion built it on SimplicialComplex
+    objects: links by K.link, keys from the relabeled support, and
+    homology for the homology condition of every complex."""
+    memo, table = {}, {}
+
+    def key_of(L):
+        relabel = {v: i + 1 for i, v in enumerate(L.support())}
+        return (len(relabel), tuple(sorted(tuple(relabel[v] for v in f)
+                                           for f in L.facets)))
+
+    def check(L, key):
+        if key in memo:
+            return memo[key]
+        memo[key] = False
+        dim = L.dimension
+        if dim < 0:
+            memo[key] = True
+            table[key] = {"dim": -1, "homology_matches_sphere": True,
+                          "vertex_links": {}}
+            return True
+        hom_ok = matches_sphere(L)
+        links = {}
+        ok = hom_ok
+        if hom_ok:
+            for v in L.support():
+                link, _ = L.link((v,))
+                link_key = key_of(link)
+                links[v] = _key_str(link_key)
+                if link.dimension != dim - 1 or not check(link, link_key):
+                    ok = False
+                    break
+        memo[key] = ok
+        table[key] = {"dim": dim, "homology_matches_sphere": hom_ok,
+                      "vertex_links": links}
+        return ok
+
+    root = key_of(K)
+    return SphereCertificate(verdict=check(K, root), root=root,
+                             complexes=table)
 
 
 class TestChainComplex:
@@ -208,7 +286,8 @@ class TestSphereCertificate:
     def test_rp2_rejected(self):
         assert not is_homology_sphere(RP2).verdict
 
-    def test_each_complex_keyed_and_measured_once(self, monkeypatch):
+    def test_each_complex_keyed_and_measured_once(self, monkeypatch,
+                                                  no_collapse):
         hmod = sys.modules["momentangle.homology"]
         calls = {"key": 0, "homology": 0}
         real_key, real_homology = hmod._canonical_key, hmod.homology
@@ -236,6 +315,65 @@ class TestSphereCertificate:
                                             if c["dim"] >= 0)
             assert cert.homology == real_homology(K)
 
+    def test_homology_only_for_root_and_stuck_collapses(self, monkeypatch):
+        hmod = sys.modules["momentangle.homology"]
+        calls = dict.fromkeys(("key", "homology", "collapse", "stuck"), 0)
+        real_key, real_homology = hmod._canonical_key, hmod.homology
+        real_collapse = hmod._collapses_off_a_facet
+
+        def key(masks):
+            calls["key"] += 1
+            return real_key(masks)
+
+        def counted_homology(K, reduced=True):
+            calls["homology"] += 1
+            return real_homology(K, reduced)
+
+        def collapse(masks):
+            calls["collapse"] += 1
+            collapsed = real_collapse(masks)
+            calls["stuck"] += not collapsed
+            return collapsed
+
+        monkeypatch.setattr(hmod, "_canonical_key", key)
+        monkeypatch.setattr(hmod, "homology", counted_homology)
+        monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
+        for K, stuck in ((cyclic_polytope_boundary(6, 9), 0), (RP2, 0),
+                         (FIN, 1), (new_complex(5, [(1, 2, 3), (1, 2, 4),
+                                                    (1, 3, 4), (2, 3, 4)]),
+                                    0)):
+            calls.update(key=0, homology=0, collapse=0, stuck=0)
+            cert = is_homology_sphere(K)
+            table = cert.complexes.values()
+            # The root key, then one key per link a parent computes.
+            assert calls["key"] == 1 + sum(len(c["vertex_links"])
+                                           for c in table)
+            # Homology for the root and for each collapse that got stuck;
+            # every other nonempty complex is settled by its collapse.
+            assert calls["stuck"] == stuck
+            assert calls["homology"] == 1 + calls["stuck"]
+            assert calls["collapse"] == sum(1 for c in table
+                                            if c["dim"] >= 0) - 1
+            assert cert.settled_by == {
+                "collapse": calls["collapse"] - calls["stuck"],
+                "homology": calls["homology"]}
+            assert cert.homology == real_homology(K)
+
+    def test_matches_reference_recursion(self):
+        # Same JSON, byte for byte, as the recursion on SimplicialComplex
+        # links with homology everywhere; ghost vertices move the labels.
+        rng = random.Random(20261018)
+        complexes = [RP2, SUSP_RP2, CONE_RP2, TORUS_7, FIN,
+                     new_complex(2, [(1,), (2,)]), new_complex(1, [(1,)]),
+                     new_complex(3, [])]
+        for n, m in ((2, 5), (3, 6), (4, 7), (5, 8), (6, 9)):
+            K = cyclic_polytope_boundary(n, m)
+            complexes += [K, relabelled(K, rng), relabelled(K, rng, 3)]
+        complexes += [random_complex(rng) for _ in range(150)]
+        for K in complexes:
+            assert (json.dumps(is_homology_sphere(K).to_json())
+                    == json.dumps(reference_certificate(K).to_json())), K
+
     def test_certificate_json(self):
         cert = is_homology_sphere(boundary_of_simplex(2))
         obj = cert.to_json()
@@ -252,3 +390,50 @@ class TestManifoldVerdict:
 
     def test_unknown_never_claims_nonmanifold(self):
         assert manifold_verdict(new_complex(2, [(1, 2)])) == "unknown"
+
+
+class TestCollapse:
+    """_collapses_off_a_facet on its own: a success must mean sphere
+    homology, and complexes that are no spheres never collapse."""
+
+    def test_success_implies_sphere_homology(self):
+        rng = random.Random(1939)
+        complexes = []
+        for dim in (2, 3):
+            for _ in range(150):
+                m = rng.randint(dim + 1, 8)
+                complexes.append(new_complex(m, [
+                    rng.sample(range(1, m + 1), dim + 1)
+                    for _ in range(rng.randint(1, 14))]))
+        links = []
+        for n, m in ((3, 7), (4, 7), (4, 8), (5, 8), (6, 9)):
+            K = relabelled(cyclic_polytope_boundary(n, m), rng)
+            links += [K.link((v,))[0] for v in K.support()]
+        complexes += links + [suspension(L) for L in links[::4]]
+        collapsed = 0
+        for K in complexes:
+            if _collapses_off_a_facet(masks_of(K)):
+                collapsed += 1
+                assert matches_sphere(K), K
+        # Every link and suspension of one is a sphere that collapses.
+        assert collapsed >= len(links) + len(links[::4])
+
+    def test_non_spheres_never_collapse(self):
+        rng = random.Random(1998)
+        links = [L for n, m in ((3, 6), (4, 7), (6, 9))
+                 for K in [relabelled(cyclic_polytope_boundary(n, m), rng)]
+                 for L in [K.link((v,))[0] for v in K.support()]]
+        cones = [cone(K) for K in links + [boundary_of_simplex(2), RP2,
+                                            TORUS_7, suspension(links[0])]]
+        for K in [RP2, TORUS_7, SUSP_RP2] + cones:
+            assert not _collapses_off_a_facet(masks_of(K)), K
+
+    def test_edge_cases(self):
+        # Two points are S^0: removing one leaves a single vertex.
+        assert _collapses_off_a_facet(masks_of(new_complex(2, [(1,), (2,)])))
+        # One vertex less itself is empty, not a vertex.
+        assert not _collapses_off_a_facet(masks_of(new_complex(1, [(1,)])))
+        assert not _collapses_off_a_facet(
+            masks_of(new_complex(3, [(1,), (2,), (3,)])))
+        assert _collapses_off_a_facet(masks_of(boundary_of_simplex(2)))
+        assert not _collapses_off_a_facet(masks_of(new_complex(2, [(1, 2)])))

@@ -84,6 +84,10 @@ def frozenset_search(K, cfg):
                 record(columns)
         return found, counts["explored"], counts["complete"]
 
+    # No complement with fewer than k columns generates Z^k: nothing to
+    # explore.
+    if k > min(map(len, comps)):
+        return found, counts["explored"], counts["complete"]
     by_depth = {}
     for comp in comps:
         by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
@@ -228,6 +232,19 @@ class TestExhaustive:
             res = search_free(K, SearchConfig(k=1, entry_set=entries))
             assert res.found == []
             assert res.explored == 0
+
+    def test_k_over_smallest_complement_builds_no_palette(self,
+                                                          monkeypatch):
+        # Each facet complement of the triangle boundary has one column,
+        # so no 14-torus acts freely; the answer needs no |E|^k palette.
+        def no_palette(*args, **kwargs):
+            raise AssertionError("palette built")
+
+        monkeypatch.setattr(momentangle.search, "product", no_palette)
+        res = search_free(boundary_of_simplex(2),
+                          SearchConfig(k=14, entry_set=(0, 1)))
+        assert (res.found, res.explored, res.complete_candidates) == (
+            [], 0, 0)
 
     def test_dedup_by_row_lattice(self):
         K = boundary_of_simplex(2)
