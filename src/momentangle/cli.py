@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii
 
 from .charclasses import (face_ring_mod2, h2_of_quotient, sw_numbers,
                           sw_triviality, total_sw_class, w2_of_quotient)
@@ -46,8 +47,87 @@ def _load(path, cls, what):
         raise ValueError(f"{path}: malformed {what} JSON ({exc})") from exc
 
 
+# The JSON text of a scalar of each exact type, as json writes it; other
+# scalars (floats, subclasses) go through json.dumps.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_json(x):
+    text = _SCALAR_TEXT.get(type(x))
+    return text(x) if text else json.dumps(x)
+
+
+def _key_json(key):
+    """A dict key as json writes it: a str quoted as is; a float, int,
+    bool or None key as its JSON text, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_scalar_json(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_indented(x, parts, newline):
+    """Append the text of x to parts as json.dumps(x, indent=2) writes it
+    at the nesting level whose line break and indent are newline.  A
+    scalar inside a container is written with its container's line."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in x):
+            parts.append("[" + inner + ("," + inner).join(map(str, x))
+                         + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            text = _SCALAR_TEXT.get(type(v))
+            if text:
+                parts.append(sep + text(v))
+            else:
+                parts.append(sep)
+                _write_indented(v, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, v in x.items():
+            head = sep + _key_json(key) + ": "
+            text = _SCALAR_TEXT.get(type(v))
+            if text:
+                parts.append(head + text(v))
+            else:
+                parts.append(head)
+                _write_indented(v, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(_scalar_json(x))
+
+
+def _dumps_indented(payload):
+    """json.dumps(payload, indent=2), without the pure-Python encoder
+    that json takes whenever it indents: lists of plain ints are joined
+    in one step and other scalars are written by table or by json's C
+    encoder."""
+    parts = []
+    _write_indented(payload, parts, "\n")
+    return "".join(parts)
+
+
 def _emit(args, payload):
-    text = json.dumps(payload, indent=2)
+    text = _dumps_indented(payload)
     if args.json_out:
         try:
             with open(args.json_out, "w") as fh:
@@ -173,9 +253,18 @@ def cmd_sw_quasitoric(args):
     return EXIT_TRUE if not trivial else EXIT_FALSE
 
 
+def _entry(item):
+    """One item of --entries as an int; anything else is an input error
+    naming the flag and the item."""
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(f"--entries: {item!r} is not an integer") from None
+
+
 def cmd_search_free(args):
     K = _load(args.complex, SimplicialComplex, "complex")
-    entries = tuple(int(x) for x in args.entries.split(","))
+    entries = tuple(_entry(x) for x in args.entries.split(","))
     cfg = SearchConfig(k=args.k, entry_set=entries, mode=args.mode,
                        seed=args.seed, samples=args.samples)
     res = search_free(K, cfg)

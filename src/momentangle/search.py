@@ -3,21 +3,27 @@
 Candidates are k x m matrices over a finite entry set of distinct
 values.  A candidate is held as m codes into a palette of distinct
 columns: every k-tuple over the entry set in exhaustive mode, the
-columns drawn so far in random mode.  Freeness comes from
-torus.first_unfree, the test behind acts_freely.  Exhaustive mode builds
-candidates column by column and checks each facet complement once its
-last column is chosen, pruning the prefix if it fails; it explores
-nothing when k exceeds the size of the smallest facet complement, since
-fewer than k columns never generate Z^k.  Random mode draws
-cfg.samples >= 1 candidates.  Each search_free call owns one memo of
-that test, keyed on the int bitmask of the palette codes of a
-complement, that is on its set of distinct columns, so the test runs
-once per column set however often the set recurs; the memo ends with the
-call, and random mode starts palette and memo over before the palette
-would pass RANDOM_PALETTE_LIMIT codes.  Results are deduplicated by the
-Hermite normal form of the row lattice, computed on plain rows, so
-GL_k(Z)-equivalent candidates count once and a duplicate builds no
-matrix.
+columns drawn so far in random mode.  Freeness comes from the torus
+module's memoised test behind acts_freely.  Exhaustive mode builds
+candidates column by column.  At each node it masks, once, the fixed
+columns of every facet complement that the next column completes, and
+keeps only the child codes that free all of them (torus.free_codes), so
+a failing child is never entered; the counts are those of checking each
+complement once its last column is chosen.  It explores nothing when k
+exceeds the size of the smallest facet complement, since fewer than k
+columns never generate Z^k.  Random mode draws cfg.samples >= 1
+candidates.  Each search_free call owns one memo of that test, keyed on
+the int bitmask of the palette codes of a complement, that is on its set
+of distinct columns, so the test runs once per column set however often
+the set recurs; the memo ends with the call, and random mode starts
+palette and memo over before the palette would pass RANDOM_PALETTE_LIMIT
+codes.  Results are deduplicated by the Hermite normal form of the row
+lattice, computed on plain rows, so GL_k(Z)-equivalent candidates count
+once and a duplicate builds no matrix.  The HNF stops at the k-th pivot,
+so it is U A for a unimodular U fixed by the columns up to that pivot;
+exhaustive mode reads U off the HNF of [A | I_k] at one leaf and keys
+every following leaf that shares those codes by the palette's images
+under U, without another HNF.
 
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
@@ -32,7 +38,7 @@ from typing import Optional
 
 from .intlinalg import IntMatrix, hermite_normal_form_rows
 from .simplicial import SimplicialComplex
-from .torus import PreconditionError, Subtorus, first_unfree
+from .torus import PreconditionError, Subtorus, first_unfree, free_codes
 
 # Random mode codes the columns it has drawn; a memo key is a bitmask over
 # those codes, so this cap keeps every key within 256 bytes.
@@ -112,10 +118,10 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     # Without facets the empty face is maximal.
     comps = K.facet_complements() or [tuple(range(1, m + 1))]
 
-    def record(codes):
+    def record(key):
+        """Count a complete free candidate, and keep it if its row
+        lattice, given by its HNF key, is new."""
         result.complete_candidates += 1
-        key = hermite_normal_form_rows(
-            [[palette[c][i] for c in codes] for i in range(k)])
         if key in seen:
             return
         T = Subtorus(IntMatrix(key, rows=len(key), cols=m))
@@ -145,7 +151,7 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
                 codes.append(code)
             result.explored += 1
             if first_unfree(k, palette, codes, comps, memo) is None:
-                record(codes)
+                record(hermite_normal_form_rows(rows))
         return result
 
     # Fewer than k columns never generate Z^k, so when k exceeds the
@@ -158,18 +164,55 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     by_depth = {}  # last column -> constraints; 0 for an empty complement
     for comp in comps:
         by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
+    # An empty complement (a facet on every vertex) constrains the root.
+    if first_unfree(k, palette, [], by_depth.pop(0, ()), memo) is not None:
+        return result
+    # The complements ending at column d + 1, less that column, whose
+    # other columns are all fixed at a node of depth d.
+    heads = [[comp[:-1] for comp in by_depth.get(d + 1, ())]
+             for d in range(m)]
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    # The last transform: the codes up to its k-th pivot column, and for
+    # each row i of U the list of (U palette[c])_i over the codes c.
+    transform = []
     codes = []
 
+    def leaf_key():
+        """HNF of the rows of the complete candidate codes.  The HNF of
+        [A | I_k] is [HNF(A) | U] with HNF(A) = U A whenever the k-th
+        pivot is a column of A; U depends only on the columns up to that
+        pivot, so a later leaf with the same codes there reads its key
+        off the palette images under U."""
+        if transform and codes[:len(transform[0])] == transform[0]:
+            return tuple(tuple(map(images.__getitem__, codes))
+                         for images in transform[1])
+        rows = [[palette[c][i] for c in codes] for i in range(k)]
+        if k:
+            H = hermite_normal_form_rows(
+                [row + unit for row, unit in zip(rows, identity)])
+            # U is unimodular, so H has k rows; row k - 1 starts at the
+            # k-th pivot.
+            pivot = next(j for j, x in enumerate(H[-1]) if x)
+            if pivot < m:
+                U = [row[m:] for row in H]
+                transform[:] = [
+                    codes[:pivot + 1],
+                    [[sum(u * x for u, x in zip(urow, col))
+                      for col in palette] for urow in U]]
+                return tuple(row[:m] for row in H)
+        return hermite_normal_form_rows(rows)
+
     def dfs():
+        # The codes so far passed every complement ending at their depth.
         depth = len(codes)
-        here = by_depth.get(depth)
-        if here and first_unfree(k, palette, codes, here, memo) is not None:
-            return
         if depth == m:
-            record(codes)
+            record(leaf_key())
             return
         result.explored += len(palette)
-        for c in range(len(palette)):
+        # Descend only into the children that pass the complements ending
+        # at the next column.
+        for c in (free_codes(k, palette, codes, heads[depth], memo)
+                  if heads[depth] else range(len(palette))):
             codes.append(c)
             dfs()
             codes.pop()

@@ -105,6 +105,31 @@ def _check_action_input(T: Subtorus, K: SimplicialComplex):
 FREENESS_MEMO_LIMIT = 1 << 16
 
 
+def _primitive_by_key(k, palette, key, memo):
+    """is_primitive_cols(k, ...) of the columns coded by key, an int
+    bitmask of indices into palette, stored in memo under key while memo
+    has fewer than FREENESS_MEMO_LIMIT entries: the one memo insertion of
+    first_unfree and free_codes, which call it on a memo miss."""
+    cols = []
+    rest = key
+    while rest:
+        low = rest & -rest
+        cols.append(palette[low.bit_length() - 1])
+        rest ^= low
+    free = is_primitive_cols(k, cols)
+    if len(memo) < FREENESS_MEMO_LIMIT:
+        memo[key] = free
+    return free
+
+
+def _complement_mask(codes, comp):
+    """Bitmask of the palette codes of the columns labelled by comp."""
+    key = 0
+    for j in comp:
+        key |= 1 << codes[j - 1]
+    return key
+
+
 def first_unfree(k, palette, codes, comps, memo=None):
     """Index of the first label set in comps (1-based, into the columns)
     whose columns are not primitive, or None: the one freeness test, free
@@ -122,23 +147,36 @@ def first_unfree(k, palette, codes, comps, memo=None):
     if memo is None:
         memo = {}
     for i, comp in enumerate(comps):
-        key = 0
-        for j in comp:
-            key |= 1 << codes[j - 1]
+        key = _complement_mask(codes, comp)
         free = memo.get(key)
         if free is None:
-            cols = []
-            rest = key
-            while rest:
-                low = rest & -rest
-                cols.append(palette[low.bit_length() - 1])
-                rest ^= low
-            free = is_primitive_cols(k, cols)
-            if len(memo) < FREENESS_MEMO_LIMIT:
-                memo[key] = free
+            free = _primitive_by_key(k, palette, key, memo)
         if not free:
             return i
     return None
+
+
+def free_codes(k, palette, codes, heads, memo):
+    """The codes c into palette, ascending, for which first_unfree(k,
+    palette, codes + [c], comps, memo) is None, where comps are the label
+    sets in heads each extended by column len(codes) + 1: the children of
+    a search node that pass the complements their column completes.  The
+    columns in heads are masked once; each c then tests the complements
+    in order, up to its first failure, through the same memo."""
+    prefixes = [_complement_mask(codes, head) for head in heads]
+    out = []
+    for c in range(len(palette)):
+        bit = 1 << c
+        for prefix in prefixes:
+            key = prefix | bit
+            free = memo.get(key)
+            if free is None:
+                free = _primitive_by_key(k, palette, key, memo)
+            if not free:
+                break
+        else:
+            out.append(c)
+    return out
 
 
 def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:

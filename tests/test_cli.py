@@ -355,6 +355,87 @@ class TestSearchFree:
         assert "1 repeats" in capsys.readouterr().err
 
 
+    def test_unparsable_entries_name_the_flag(self, capsys, tmp_path):
+        cpath = tmp_path / "tri.json"
+        cpath.write_text(json.dumps(boundary_of_simplex(2).to_json()))
+        for entries, item in (("0,x", "'x'"), ("", "''"),
+                              ("0,1.5", "'1.5'")):
+            assert main(["search-free", "--complex", str(cpath), "--k", "1",
+                         f"--entries={entries}"]) == 2
+            captured = capsys.readouterr()
+            assert f"--entries: {item} is not an integer" in captured.err
+            assert "invalid literal" not in captured.err
+            assert captured.out == ""
+
+
+class TestReportText:
+    """Every report is json.dumps(payload, indent=2) to the byte, though
+    it is not written by json's indenting encoder."""
+
+    def test_writer_matches_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.one_of(st.text(), st.sampled_from(
+            ["", "\"\\\n\t\x00\x1f", "caf\u00e9", "\u2028\ud800",
+             "\U0001f600", "</script>"]))
+        scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.floats(), text)
+        keys = st.one_of(text, st.integers(), st.booleans(), st.none(),
+                         st.floats())
+        values = st.recursive(scalars, lambda inner: st.one_of(
+            st.lists(inner), st.lists(inner).map(tuple),
+            st.lists(st.one_of(st.integers(), st.booleans())),
+            st.dictionaries(keys, inner)), max_leaves=40)
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(values)
+        def check(x):
+            assert cli._dumps_indented(x) == json.dumps(x, indent=2)
+
+        check()
+
+    def test_key_types_json_rejects(self):
+        for bad in ({(1, 2): 0}, {"a": {b"k": 0}}):
+            with pytest.raises(TypeError):
+                json.dumps(bad, indent=2)
+            with pytest.raises(TypeError, match="keys must be str"):
+                cli._dumps_indented(bad)
+
+    def test_every_subcommand(self, capsys, tmp_path, c69_file, torus_file,
+                              theta_file):
+        tri = tmp_path / "tri.json"
+        tri.write_text(json.dumps(boundary_of_simplex(2).to_json()))
+        cp2 = tmp_path / "cp2.json"
+        cp2.write_text(json.dumps(IntMatrix([[1, 0, 1], [0, 1, 1]])
+                                  .to_json()))
+        runs = {
+            "verify-example": ["verify-example"],
+            "facets-cyclic": ["facets-cyclic", "4", "7"],
+            "check-manifold": ["check-manifold", "--complex", c69_file],
+            "check-free": ["check-free", "--complex", c69_file,
+                           "--torus", torus_file],
+            "extend-char": ["--seed", "7", "extend-char", "--complex",
+                            c69_file, "--torus", torus_file],
+            "quotient-h2": ["quotient-h2", "--theta", theta_file],
+            "w2": ["w2", "--torus", torus_file],
+            "sw-quasitoric": ["sw-quasitoric", "--complex", str(tri),
+                              "--char", str(cp2)],
+            "search-free": ["search-free", "--complex", c69_file,
+                            "--k", "2"],
+        }
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(runs) == set(commands)
+        out_path = tmp_path / "out.json"
+        for name, argv in runs.items():
+            assert main(["--json-out", str(out_path)] + argv) in (0, 1)
+            out = capsys.readouterr().out
+            # The round trip keeps the bytes even for the int keys of the
+            # check-manifold certificate, which json writes quoted.
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", name
+            assert out_path.read_text() == out, name
+
+
 class TestGlobalFlags:
     def test_json_out_and_quiet(self, capsys, tmp_path):
         out = tmp_path / "out.json"

@@ -466,6 +466,44 @@ class TestHermite:
                 assert H[i][p] > 0
                 assert all(0 <= H[above][p] < H[i][p] for above in range(i))
 
+    def test_identity_block_is_the_transform(self):
+        # The HNF of [A | I_k] is [HNF(A) | U] with U A = HNF(A) padded by
+        # zero rows, U unimodular.  When the k-th pivot is a column of A,
+        # U depends only on A's columns up to that pivot, so it is the
+        # transform of every matrix that shares them.
+        rng = random.Random(12)
+        for _ in range(400):
+            k, m = rng.randint(0, 4), rng.randint(1, 7)
+            e = rng.choice((1, 2, 5))
+            A = [[rng.randint(-e, e) for _ in range(m)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.3:  # rank deficient
+                A[-1] = [a - 3 * b for a, b in zip(A[0], A[-2])]
+            unit = [[int(i == j) for j in range(k)] for i in range(k)]
+            H = hermite_normal_form_rows(
+                [row + u for row, u in zip(A, unit)])
+            assert len(H) == k
+            U = [row[m:] for row in H]
+            UA = [[sum(u * a for u, a in zip(urow, col)) for col in zip(*A)]
+                  for urow in U]
+            assert UA == [list(row[:m]) for row in H]
+            rank = len(hermite_normal_form_rows(A))
+            assert [tuple(row) for row in UA[:rank]] == list(
+                hermite_normal_form_rows(A))
+            assert not any(map(any, UA[rank:]))
+            if k:
+                assert abs(det(IntMatrix(U))) == 1
+            pivot = next(j for j, x in enumerate(H[-1]) if x) if k else -1
+            assert (pivot < m) == (rank == k)
+            if rank < k:
+                continue
+            for _ in range(5):
+                B = [row[:pivot + 1] + [rng.randint(-e, e)
+                                        for _ in range(m - pivot - 1)]
+                     for row in A]
+                UB = tuple(tuple(sum(u * b for u, b in zip(urow, col))
+                                 for col in zip(*B)) for urow in U)
+                assert UB == hermite_normal_form_rows(B)
+
     def test_lattice_equality_under_gl(self):
         rng = random.Random(7)
         for _ in range(30):

@@ -153,6 +153,42 @@ class TestAgainstFrozensetSearch:
         res = self.check(K, SearchConfig(k=3, entry_set=(0, 1)))
         assert (res.found, res.explored) == ([], 31496)
 
+    def test_cached_transforms(self, monkeypatch):
+        # Leaves that share the codes up to the k-th pivot read their HNF
+        # off the cached transform: fewer HNF runs than leaves, and the
+        # same answers.  {0, 1, 2} gives non-unit pivots.
+        runs = []
+        real = momentangle.search.hermite_normal_form_rows
+
+        def counting(rows):
+            runs.append(None)
+            return real(rows)
+
+        monkeypatch.setattr(momentangle.search, "hermite_normal_form_rows",
+                            counting)
+        for K, cfg, lattices in [
+                (cyclic_polytope_boundary(4, 7),
+                 SearchConfig(k=3, entry_set=(0, 1)), 56),
+                (cyclic_polytope_boundary(2, 5),
+                 SearchConfig(k=2, entry_set=(0, 1, 2)), None)]:
+            del runs[:]
+            res = self.check(K, cfg)
+            assert 0 < len(runs) < res.complete_candidates, cfg
+            if lattices is not None:
+                assert len(res.found) == lattices
+        pivots = {next(x for x in row if x)
+                  for t in res.found for row in t.matrix.data}
+        assert max(pivots) > 1
+
+    def test_complement_ending_at_the_first_column(self):
+        # Each facet complement of the triangle boundary is one column, so
+        # complement (1,) is tested at depth 0 on an empty prefix mask.
+        K = boundary_of_simplex(2)
+        assert (1,) in K.facet_complements()
+        res = self.check(K, SearchConfig(k=1, entry_set=(2, 0, -1, 1)))
+        assert {t.matrix.data[0][0] for t in res.found} <= {-1, 1}
+        assert res.found
+
 
 class TestConfig:
     def test_empty_entry_set(self):

@@ -16,6 +16,7 @@ from momentangle.torus import (PreconditionError, Subtorus,
                                cyclic69_free_subtorus,
                                cyclic69_quotient_matrix,
                                extend_to_characteristic, first_unfree,
+                               free_codes,
                                is_rational_characteristic,
                                quotient_projection, torus_from_kernel)
 
@@ -131,6 +132,29 @@ class TestFreeness:
             assert (first_unfree(2, palette, codes, comps, memo)
                     == first_unfree(2, palette, codes, comps))
         assert len(memo) == 5
+
+    @pytest.mark.parametrize("limit", [5, 1 << 16])
+    def test_free_codes_agree_with_first_unfree(self, monkeypatch, limit):
+        # The search's child filter: code c passes when every complement
+        # completed by the next column is free with c there.  On the
+        # triangle boundary complement (1,) ends at column 1, so its
+        # prefix mask is empty.
+        monkeypatch.setattr(momentangle.torus, "FREENESS_MEMO_LIMIT", limit)
+        rng = random.Random(5)
+        for K, k in ((cyclic_polytope_boundary(6, 9), 2),
+                     (boundary_of_simplex(2), 1)):
+            comps = K.facet_complements()
+            palette = list(product(range(-1, 3), repeat=k))
+            memo = {}
+            for _ in range(150):
+                depth = rng.randrange(K.m)
+                codes = [rng.randrange(len(palette)) for _ in range(depth)]
+                ending = [comp for comp in comps if comp[-1] == depth + 1]
+                heads = [comp[:-1] for comp in ending]
+                assert free_codes(k, palette, codes, heads, memo) == [
+                    c for c in range(len(palette))
+                    if first_unfree(k, palette, codes + [c], ending) is None]
+            assert len(memo) <= limit
 
 
 class TestAlmostFreeness:
