@@ -5,9 +5,8 @@ subtorus actions, characteristic matrices, and Stiefel-Whitney data."""
 from .charclasses import (GradedMod2Ring, Mod2Class, face_ring_mod2,
                           h2_of_quotient, sw_numbers, sw_triviality,
                           total_sw_class, w2_of_quotient)
-from .homology import (ChainComplexData, HomologyProfile, SphereCertificate,
-                       chain_complex, homology, is_homology_sphere,
-                       manifold_verdict)
+from .homology import (HomologyProfile, SphereCertificate, homology,
+                       is_homology_sphere, manifold_verdict)
 from .intlinalg import (AbelianGroupPresentation, IntMatrix,
                         SmithDecomposition, cokernel, det,
                         hermite_normal_form, image_contains,

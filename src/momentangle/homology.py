@@ -7,13 +7,13 @@ the associated moment-angle complex a certified topological manifold;
 failing only yields "unknown" since the criterion is sufficient, not
 necessary.
 
-The root complex always gets its homology, which callers report.  Below
-the root, each complex is a list of facet bitmasks and its homology
-condition is discharged by a collapse first: if the complex less one
-top-dimensional facet collapses to a vertex, the complex is homotopy
-equivalent to a sphere (Whitehead; greedy collapses as in Benedetti and
-Lutz, Exp. Math. 2014).  A failed collapse proves nothing, so only then
-is the homology computed, with its d o d check, as the fallback.
+Every complex of the certificate, the root included, is a list of facet
+bitmasks, and its homology condition is discharged by a collapse first:
+if the complex less one top-dimensional facet collapses to a vertex, the
+complex is homotopy equivalent to a sphere (Whitehead; greedy collapses
+as in Benedetti and Lutz, Exp. Math. 2014).  A failed collapse proves
+nothing, so only then is the homology computed on the masks, with its
+d o d check, as the fallback.
 """
 
 from __future__ import annotations
@@ -21,19 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .intlinalg import IntMatrix, InternalError, sparse_invariant_factors
+from .intlinalg import InternalError, sparse_invariant_factors
 from .simplicial import SimplicialComplex, _bitmask
-
-
-@dataclass(frozen=True)
-class ChainComplexData:
-    """Boundary matrices d=0..dim, faces ordered as in faces_of_dim.
-
-    boundary[0] is the augmentation map C_0 -> C_{-1} = Z (all-ones row),
-    so reduced homology falls out of the same matrices.
-    """
-
-    boundaries: tuple
 
 
 def _check_boundary_squared_zero(lower, upper):
@@ -49,35 +38,30 @@ def _check_boundary_squared_zero(lower, upper):
                 f"boundary of boundary is nonzero (column {j})")
 
 
-def _boundary_columns(K: SimplicialComplex):
-    """Boundary maps d=0..dim K as sparse columns, one {row: +-1} dict per
-    d-face, faces and rows ordered as in faces_of_dim; d=0 is the
-    augmentation.  Checks d o d = 0 on every consecutive pair."""
+def _boundary_columns(masks):
+    """Boundary maps d=0..dim of the complex with these facet bitmasks, as
+    sparse columns, one {row: +-1} dict per d-face; the faces of a layer
+    in ascending mask order, and dropping the i-th lowest vertex carries
+    (-1)^i.  d=0 is the augmentation.  Checks d o d = 0 on every pair."""
+    layers = [set() for _ in range(_dimension(masks) + 1)]
+    for f in masks:
+        layers[f.bit_count() - 1].add(f)
+    for d in range(len(layers) - 1, 0, -1):
+        below = layers[d - 1]
+        for face in layers[d]:
+            for bit in _bits(face):
+                below.add(face ^ bit)
     boundaries = []
-    faces_below = [()]
-    for d in range(K.dimension + 1):
-        faces = K.faces_of_dim(d)
-        index_below = {f: i for i, f in enumerate(faces_below)}
-        cols = [{index_below[face[:i] + face[i + 1:]]: -1 if i & 1 else 1
-                 for i in range(len(face))} for face in faces]
+    index_below = {0: 0}
+    for layer in layers:
+        faces = sorted(layer)
+        cols = [{index_below[face ^ bit]: -1 if i & 1 else 1
+                 for i, bit in enumerate(_bits(face))} for face in faces]
         if boundaries:
             _check_boundary_squared_zero(boundaries[-1], cols)
         boundaries.append(cols)
-        faces_below = faces
+        index_below = {f: i for i, f in enumerate(faces)}
     return boundaries
-
-
-def chain_complex(K: SimplicialComplex) -> ChainComplexData:
-    boundaries = []
-    nrows = 1
-    for cols in _boundary_columns(K):
-        rows = [[0] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, a in col.items():
-                rows[i][j] = a
-        boundaries.append(IntMatrix(rows, rows=nrows, cols=len(cols)))
-        nrows = len(cols)
-    return ChainComplexData(tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -109,10 +93,13 @@ def homology(K: SimplicialComplex, reduced=True) -> HomologyProfile:
     coefficient theorem the GF(2) rank of a boundary map is its number of
     odd invariant factors, which gives the mod-2 Betti numbers.
     """
-    dim = K.dimension
-    if dim < 0:
-        return HomologyProfile(reduced, (), (), ())
-    boundaries = _boundary_columns(K)
+    return _homology([_bitmask(f) for f in K.facets], reduced)
+
+
+def _homology(masks, reduced):
+    """homology() of the complex with these facet bitmasks."""
+    boundaries = _boundary_columns(masks)
+    dim = len(boundaries) - 1
     fvec = [len(cols) for cols in boundaries]
     ranks_z = [0] * (dim + 2)
     ranks_2 = [0] * (dim + 2)
@@ -131,12 +118,10 @@ def homology(K: SimplicialComplex, reduced=True) -> HomologyProfile:
     return HomologyProfile(reduced, tuple(betti), tuple(torsion), tuple(mod2))
 
 
-def _matches_sphere(prof: HomologyProfile, dim: int) -> bool:
-    for d in prof.degrees():
-        want = 1 if d == dim else 0
-        if prof.betti[d] != want or prof.torsion[d]:
-            return False
-    return True
+def _sphere_homology(dim):
+    """Reduced homology of the dim-sphere; empty for dim = -1."""
+    betti = tuple(int(d == dim) for d in range(dim + 1))
+    return HomologyProfile(True, betti, ((),) * (dim + 1), betti)
 
 
 @dataclass
@@ -152,8 +137,9 @@ class SphereCertificate:
     root: tuple
     complexes: dict = field(default_factory=dict)
     criterion: str = "recursive-links"
-    # homology(K) of the checked complex, computed once for the certificate
-    # and kept for callers that report it; not part of the JSON.
+    # homology(K) of the checked complex, for callers that report it: the
+    # sphere's when the root collapsed, else the fallback's; not part of
+    # the JSON.
     homology: Optional[HomologyProfile] = field(default=None, compare=False,
                                                 repr=False)
     # Nonempty complexes of the table whose homology condition was settled
@@ -265,20 +251,19 @@ def _collapses_off_a_facet(masks):
 def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     """Certify K by the recursive-links criterion.
 
-    Below the root a complex is its facet bitmasks in K's labels, and a
-    vertex link is taken on the masks.  Its homology condition is settled
-    by _collapses_off_a_facet when that succeeds; only otherwise is a
-    SimplicialComplex built from the canonical key for homology.  The root
-    always gets homology(K), which the certificate keeps for callers.
+    Each complex is its facet bitmasks in K's labels, and a vertex link
+    is taken on the masks.  Its homology condition is settled by
+    _collapses_off_a_facet when that succeeds, and by _homology on the
+    masks only otherwise.
     """
     memo, table = {}, {}
     names = {}  # key -> _key_str(key), since links recur across parents
     settled = {"collapse": 0, "homology": 0}
+    stuck = {}  # key -> homology of a complex whose collapse got stuck
 
-    def check(masks, removed, key, prof=None):
+    def check(masks, removed, key):
         """Certify the complex with facet bitmasks masks and canonical key
-        key, whose vertices are K's less the mask removed; prof is its
-        homology when the caller already has it."""
+        key, whose vertices are K's less the mask removed."""
         if key in memo:
             return memo[key]
         memo[key] = False  # guard; overwritten below
@@ -289,14 +274,13 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
             table[key] = {"dim": -1, "homology_matches_sphere": True,
                           "vertex_links": {}}
             return True
-        if prof is None and _collapses_off_a_facet(masks):
+        if _collapses_off_a_facet(masks):
             settled["collapse"] += 1
             hom_ok = True
         else:
-            if prof is None:
-                prof = homology(SimplicialComplex(*key), reduced=True)
+            prof = stuck[key] = _homology(masks, True)
             settled["homology"] += 1
-            hom_ok = _matches_sphere(prof, dim)
+            hom_ok = prof == _sphere_homology(dim)
         links = {}
         ok = hom_ok
         if hom_ok:
@@ -324,8 +308,9 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
 
     masks = [_bitmask(f) for f in K.facets]
     root = _canonical_key(masks)
-    prof = homology(K, reduced=True)
-    verdict = check(masks, 0, root, prof)
+    verdict = check(masks, 0, root)
+    # A root that collapsed is homotopy equivalent to the sphere.
+    prof = stuck.get(root) or _sphere_homology(K.dimension)
     return SphereCertificate(verdict=verdict, root=root, complexes=table,
                              homology=prof, settled_by=settled)
 

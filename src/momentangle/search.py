@@ -161,12 +161,11 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         return result
     # The palette is every k-tuple over the entry set, in product order.
     palette.extend(product(cfg.entry_set, repeat=k))
-    by_depth = {}  # last column -> constraints; 0 for an empty complement
+    # Constraints by last column.  An empty complement, which only k = 0
+    # reaches and which is then primitive, goes to 0, never read.
+    by_depth = {}
     for comp in comps:
         by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
-    # An empty complement (a facet on every vertex) constrains the root.
-    if first_unfree(k, palette, [], by_depth.pop(0, ()), memo) is not None:
-        return result
     # The complements ending at column d + 1, less that column, whose
     # other columns are all fixed at a node of depth d.
     heads = [[comp[:-1] for comp in by_depth.get(d + 1, ())]

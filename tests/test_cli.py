@@ -89,50 +89,53 @@ class TestCheckManifold:
     def test_root_homology_computed_once(self, capsys, c69_file,
                                          monkeypatch, no_collapse):
         hmod = sys.modules["momentangle.homology"]
-        real = hmod.homology
+        real = hmod._homology
         calls = []
 
-        def counted(K, reduced=True):
+        def counted(masks, reduced):
             calls.append(None)
-            return real(K, reduced)
+            return real(masks, reduced)
 
-        monkeypatch.setattr(hmod, "homology", counted)
-        monkeypatch.setattr(cli, "homology", counted, raising=False)
+        want = hmod.homology(cyclic_polytope_boundary(6, 9)).to_json()
+        monkeypatch.setattr(hmod, "_homology", counted)
         code, obj = run_json(capsys, ["check-manifold", "--complex",
                                       c69_file])
         assert code == 0
-        assert obj["homology"] == real(
-            cyclic_polytope_boundary(6, 9)).to_json()
+        assert obj["homology"] == want
         assert len(calls) == sum(
             1 for c in obj["certificate"]["complexes"].values()
             if c["dim"] >= 0)
 
-    def test_homology_for_root_and_stuck_collapses(self, capsys, c69_file,
-                                                   monkeypatch):
+    def test_homology_only_for_stuck_collapses(self, capsys, c69_file,
+                                               monkeypatch):
         hmod = sys.modules["momentangle.homology"]
-        real_homology, real_collapse = (hmod.homology,
+        real_homology, real_collapse = (hmod._homology,
                                         hmod._collapses_off_a_facet)
-        calls, stuck = [], []
+        calls, collapses, stuck = [], [], []
 
-        def counted(K, reduced=True):
+        def counted(masks, reduced):
             calls.append(None)
-            return real_homology(K, reduced)
+            return real_homology(masks, reduced)
 
         def collapse(masks):
             collapsed = real_collapse(masks)
+            collapses.append(None)
             if not collapsed:
                 stuck.append(None)
             return collapsed
 
-        monkeypatch.setattr(hmod, "homology", counted)
+        want = hmod.homology(cyclic_polytope_boundary(6, 9)).to_json()
+        monkeypatch.setattr(hmod, "_homology", counted)
         monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
         code, obj = run_json(capsys, ["check-manifold", "--complex",
                                       c69_file])
         assert code == 0
-        assert obj["homology"] == real_homology(
-            cyclic_polytope_boundary(6, 9)).to_json()
-        assert len(calls) == 1 + len(stuck)
-        assert stuck == []  # every link of the 5-sphere collapses
+        assert obj["homology"] == want
+        assert len(calls) == len(stuck)
+        assert len(collapses) == sum(
+            1 for c in obj["certificate"]["complexes"].values()
+            if c["dim"] >= 0)
+        assert stuck == []  # the 5-sphere and all its links collapse
 
     def test_reports_identical_when_every_collapse_fails(
             self, capsys, tmp_path, request):

@@ -3,16 +3,18 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 import momentangle
 from momentangle.homology import (InternalError, SphereCertificate,
+                                  _boundary_columns,
                                   _check_boundary_squared_zero,
                                   _collapses_off_a_facet, _key_str,
-                                  chain_complex, homology, is_homology_sphere,
+                                  homology, is_homology_sphere,
                                   manifold_verdict)
-from momentangle.intlinalg import rank_mod2, smith
+from momentangle.intlinalg import IntMatrix, rank_mod2, smith
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
 
@@ -33,6 +35,35 @@ TORUS_7 = new_complex(7, [(i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1)
 # a complex whose collapse gets stuck.
 FIN = new_complex(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
                       (1, 2, 5)])
+
+
+@dataclass(frozen=True)
+class ChainComplexData:
+    """Dense boundary matrices d=0..dim, faces ordered as in faces_of_dim.
+
+    boundary[0] is the augmentation map C_0 -> C_{-1} = Z (all-ones row),
+    so reduced homology falls out of the same matrices.
+    """
+
+    boundaries: tuple
+
+
+def chain_complex(K):
+    """The dense oracle: boundary matrices built from the faces_of_dim
+    tuples, independently of the bitmask builder _boundary_columns."""
+    boundaries = []
+    faces_below = [()]
+    for d in range(K.dimension + 1):
+        faces = K.faces_of_dim(d)
+        index_below = {f: i for i, f in enumerate(faces_below)}
+        rows = [[0] * len(faces) for _ in faces_below]
+        for j, face in enumerate(faces):
+            for i in range(len(face)):
+                rows[index_below[face[:i] + face[i + 1:]]][j] = (-1) ** i
+        boundaries.append(IntMatrix(rows, rows=len(faces_below),
+                                    cols=len(faces)))
+        faces_below = faces
+    return ChainComplexData(tuple(boundaries))
 
 
 def dense_reference(K, reduced):
@@ -161,15 +192,16 @@ class TestChainComplex:
 
     def test_boundary_squared_check_survives_optimize(self, tmp_path):
         # Under -O: the checker still raises, and a failing check still
-        # makes check-manifold exit 3.
-        path = tmp_path / "s2.json"
-        path.write_text(json.dumps(boundary_of_simplex(3).to_json()))
+        # makes check-manifold exit 3.  The collapse of RP^2 gets stuck,
+        # so its certificate reaches _boundary_columns.
+        path = tmp_path / "rp2.json"
+        path.write_text(json.dumps(RP2.to_json()))
         script = (
             "import sys\n"
             "from momentangle.cli import main\n"
             "h = sys.modules['momentangle.homology']\n"
             "assert False, 'asserts are live'\n"
-            "def broken(K):\n"
+            "def broken(masks):\n"
             "    h._check_boundary_squared_zero([{0: 1}], [{0: 1}])\n"
             "h._boundary_columns = broken\n"
             f"sys.exit(main(['check-manifold', '--complex', {str(path)!r}]))\n")
@@ -185,6 +217,28 @@ class TestChainComplex:
             cc = chain_complex(K)
             for d in range(len(cc.boundaries) - 1):
                 assert (cc.boundaries[d] @ cc.boundaries[d + 1]).is_zero()
+
+    def test_mask_columns_match_dense_oracle(self):
+        # Entry for entry, once each layer's ascending mask order is
+        # matched to the faces_of_dim order of the oracle.
+        rng = random.Random(1848)
+        for K in [RP2, FIN, TORUS_7, new_complex(1, [(1,)]),
+                  cyclic_polytope_boundary(4, 7)] + [
+                      random_complex(rng) for _ in range(60)]:
+            sparse = _boundary_columns(masks_of(K))
+            dense = chain_complex(K).boundaries
+            assert len(sparse) == len(dense) == K.dimension + 1
+            for d, (cols, bd) in enumerate(zip(sparse, dense)):
+                faces, below = K.faces_of_dim(d), K.faces_of_dim(d - 1)
+                by_mask = sorted(faces, key=_bitmask)
+                below_by_mask = sorted(below, key=_bitmask)
+                assert len(cols) == len(faces)
+                assert ({(by_mask[j], below_by_mask[i], a)
+                         for j, col in enumerate(cols)
+                         for i, a in col.items()}
+                        == {(faces[j], below[i], a)
+                            for i, row in enumerate(bd.data)
+                            for j, a in enumerate(row) if a}), (K, d)
 
 
 class TestHomology:
@@ -290,18 +344,18 @@ class TestSphereCertificate:
                                                   no_collapse):
         hmod = sys.modules["momentangle.homology"]
         calls = {"key": 0, "homology": 0}
-        real_key, real_homology = hmod._canonical_key, hmod.homology
+        real_key, real_homology = hmod._canonical_key, hmod._homology
 
         def key(K):
             calls["key"] += 1
             return real_key(K)
 
-        def counted_homology(K, reduced=True):
+        def counted_homology(masks, reduced):
             calls["homology"] += 1
-            return real_homology(K, reduced)
+            return real_homology(masks, reduced)
 
         monkeypatch.setattr(hmod, "_canonical_key", key)
-        monkeypatch.setattr(hmod, "homology", counted_homology)
+        monkeypatch.setattr(hmod, "_homology", counted_homology)
         for K in (cyclic_polytope_boundary(6, 9), RP2,
                   new_complex(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4),
                                   (2, 3, 4)])):
@@ -313,21 +367,21 @@ class TestSphereCertificate:
                                            for c in table)
             assert calls["homology"] == sum(1 for c in table
                                             if c["dim"] >= 0)
-            assert cert.homology == real_homology(K)
+            assert cert.homology == homology(K)
 
-    def test_homology_only_for_root_and_stuck_collapses(self, monkeypatch):
+    def test_homology_only_for_stuck_collapses(self, monkeypatch):
         hmod = sys.modules["momentangle.homology"]
         calls = dict.fromkeys(("key", "homology", "collapse", "stuck"), 0)
-        real_key, real_homology = hmod._canonical_key, hmod.homology
+        real_key, real_homology = hmod._canonical_key, hmod._homology
         real_collapse = hmod._collapses_off_a_facet
 
         def key(masks):
             calls["key"] += 1
             return real_key(masks)
 
-        def counted_homology(K, reduced=True):
+        def counted_homology(masks, reduced):
             calls["homology"] += 1
-            return real_homology(K, reduced)
+            return real_homology(masks, reduced)
 
         def collapse(masks):
             calls["collapse"] += 1
@@ -336,9 +390,11 @@ class TestSphereCertificate:
             return collapsed
 
         monkeypatch.setattr(hmod, "_canonical_key", key)
-        monkeypatch.setattr(hmod, "homology", counted_homology)
+        monkeypatch.setattr(hmod, "_homology", counted_homology)
         monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
-        for K, stuck in ((cyclic_polytope_boundary(6, 9), 0), (RP2, 0),
+        # RP^2's own collapse gets stuck; FIN's root collapses, but the
+        # link of its edge 12 is three points.
+        for K, stuck in ((cyclic_polytope_boundary(6, 9), 0), (RP2, 1),
                          (FIN, 1), (new_complex(5, [(1, 2, 3), (1, 2, 4),
                                                     (1, 3, 4), (2, 3, 4)]),
                                     0)):
@@ -348,20 +404,23 @@ class TestSphereCertificate:
             # The root key, then one key per link a parent computes.
             assert calls["key"] == 1 + sum(len(c["vertex_links"])
                                            for c in table)
-            # Homology for the root and for each collapse that got stuck;
-            # every other nonempty complex is settled by its collapse.
+            # Homology for each collapse that got stuck; every other
+            # nonempty complex, the root included, is settled by its
+            # collapse.
             assert calls["stuck"] == stuck
-            assert calls["homology"] == 1 + calls["stuck"]
+            assert calls["homology"] == calls["stuck"]
             assert calls["collapse"] == sum(1 for c in table
-                                            if c["dim"] >= 0) - 1
+                                            if c["dim"] >= 0)
             assert cert.settled_by == {
                 "collapse": calls["collapse"] - calls["stuck"],
                 "homology": calls["homology"]}
-            assert cert.homology == real_homology(K)
+            assert cert.homology == homology(K)
 
     def test_matches_reference_recursion(self):
         # Same JSON, byte for byte, as the recursion on SimplicialComplex
         # links with homology everywhere; ghost vertices move the labels.
+        # The reported homology is K's, and every nonempty complex of the
+        # table was settled once.
         rng = random.Random(20261018)
         complexes = [RP2, SUSP_RP2, CONE_RP2, TORUS_7, FIN,
                      new_complex(2, [(1,), (2,)]), new_complex(1, [(1,)]),
@@ -371,8 +430,12 @@ class TestSphereCertificate:
             complexes += [K, relabelled(K, rng), relabelled(K, rng, 3)]
         complexes += [random_complex(rng) for _ in range(150)]
         for K in complexes:
-            assert (json.dumps(is_homology_sphere(K).to_json())
+            cert = is_homology_sphere(K)
+            assert (json.dumps(cert.to_json())
                     == json.dumps(reference_certificate(K).to_json())), K
+            assert cert.homology == homology(K), K
+            assert sum(cert.settled_by.values()) == sum(
+                1 for c in cert.complexes.values() if c["dim"] >= 0), K
 
     def test_certificate_json(self):
         cert = is_homology_sphere(boundary_of_simplex(2))
