@@ -128,7 +128,8 @@ class GradedMod2Ring:
     Every facet is nonsingular mod 2, so the linear forms are a linear
     system of parameters and the ring is spanned by face monomials: it
     vanishes above algebraic degree n (Stanley, Combinatorics and
-    Commutative Algebra, ch. III).  Degree tables are built only up to n.
+    Commutative Algebra, ch. III).  The degree tables are built once, for
+    degrees 0..n in order, in the constructor, which also sets top.
     """
 
     def __init__(self, K: SimplicialComplex, lam_mod2: IntMatrix,
@@ -176,40 +177,38 @@ class GradedMod2Ring:
             if poly:
                 self._relations.append((len(nonface), poly))
 
-        self._degree_cache = {}
+        # The table of degree t is (monomials, index, pivot rows, pivot
+        # mask, basis).  The monomials are in combinations_with_replacement
+        # order and index maps each to its bit; the pivot rows of the
+        # ideal are keyed by their pivot bit, and the basis is the
+        # non-pivot monomials.  The relations of degree t are multiples
+        # of monomials of lower degree, whose tables come first.
+        self._tables = []
+        for t in range(n + 1):
+            monos = [sum(combo) for combo
+                     in combinations_with_replacement(self._units, t)]
+            index = {mono: i for i, mono in enumerate(monos)}
+            ideal_rows = []
+            for deg, poly in self._relations:
+                if deg > t:
+                    continue
+                for mono in self._tables[t - deg][0]:
+                    row = 0
+                    for r in poly:
+                        row |= 1 << index[mono + r]
+                    ideal_rows.append(row)
+            rows, pivots = rref_mod2(ideal_rows)
+            pivot_row = {1 << p: row for row, p in zip(rows, pivots)}
+            pivot_mask = sum(pivot_row)
+            basis = [mono for i, mono in enumerate(monos)
+                     if not (pivot_mask >> i) & 1]
+            self._tables.append((monos, index, pivot_row, pivot_mask, basis))
+        # Largest degree with a nonzero graded piece.
+        self.top = max((t for t, table in enumerate(self._tables)
+                        if table[4]), default=0)
         self._sw_cache = None
 
     # -- degree-wise linear algebra -------------------------------------
-
-    def _degree(self, t):
-        """(monomials, index, pivot rows, pivot mask, basis) of degree
-        t <= n.  The monomials are in combinations_with_replacement order
-        and index maps each to its bit; the pivot rows of the ideal are
-        keyed by their pivot bit, and the basis is the non-pivot
-        monomials."""
-        entry = self._degree_cache.get(t)
-        if entry is not None:
-            return entry
-        monos = [sum(combo)
-                 for combo in combinations_with_replacement(self._units, t)]
-        index = {mono: i for i, mono in enumerate(monos)}
-        ideal_rows = []
-        for deg, poly in self._relations:
-            if deg > t:
-                continue
-            for mono in self._degree(t - deg)[0]:
-                row = 0
-                for r in poly:
-                    row |= 1 << index[mono + r]
-                ideal_rows.append(row)
-        rows, pivots = rref_mod2(ideal_rows)
-        pivot_row = {1 << p: row for row, p in zip(rows, pivots)}
-        pivot_mask = sum(pivot_row)
-        basis = [mono for i, mono in enumerate(monos)
-                 if not (pivot_mask >> i) & 1]
-        entry = (monos, index, pivot_row, pivot_mask, basis)
-        self._degree_cache[t] = entry
-        return entry
 
     def _mono_degree(self, mono):
         """Degree of a packed monomial, or -1 if mono is not one."""
@@ -220,7 +219,9 @@ class GradedMod2Ring:
         return sum((mono >> (w * i)) & field for i in range(len(self._units)))
 
     def _basis(self, t):
-        return self._degree(t)[4] if t <= self.top_algebraic else []
+        if t < 0:
+            raise ValueError("degree must be non-negative")
+        return self._tables[t][4] if t <= self.top_algebraic else []
 
     def dim(self, t):
         """Dimension of the algebraic-degree-t graded piece."""
@@ -233,19 +234,13 @@ class GradedMod2Ring:
         order of exponents."""
         return list(self._basis(t))
 
-    @property
-    def top(self):
-        """Largest degree with a nonzero graded piece."""
-        return max((t for t in range(self.top_algebraic + 1)
-                    if self.dim(t) > 0), default=0)
-
     def reduce(self, poly, t):
         """Canonical representative of a degree-t polynomial mod the ideal."""
-        if t > self.top_algebraic:
-            if any(self._mono_degree(mono) != t for mono in poly):
+        if not 0 <= t <= self.top_algebraic:
+            if t < 0 or any(self._mono_degree(mono) != t for mono in poly):
                 raise ValueError("polynomial is not homogeneous of degree t")
             return frozenset()
-        monos, index, pivot_row, pivot_mask, _ = self._degree(t)
+        monos, index, pivot_row, pivot_mask, _ = self._tables[t]
         mask = 0
         try:
             for mono in poly:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success / true verdict, 1 false or negative verdict,
-2 input error, 3 internal error (a failed assertion or any other
-unexpected exception, so a crash never reads as a negative verdict).
-Every verdict-style command also carries a "verdict" field in its JSON
-output matching the exit code.  All randomness requires an explicit --seed.
+Each cmd_* returns its JSON payload and nothing else; main writes it
+and derives the exit code from its "verdict" field in one place: 1 when
+the verdict is false, 0 otherwise (a command without a verdict succeeds
+with 0).  2 is an input error and 3 an internal error (a failed
+assertion or any other unexpected exception, so a crash never reads as a
+negative verdict).  All randomness requires an explicit --seed.
 """
 
 from __future__ import annotations
@@ -149,35 +150,28 @@ def cmd_verify_example(args):
     report = verify_c69_example()
     payload = report.to_json()
     payload["verdict"] = report.passed
-    _emit(args, payload)
-    return EXIT_TRUE if report.passed else EXIT_FALSE
+    return payload
 
 
 def cmd_facets_cyclic(args):
-    K = cyclic_polytope_boundary(args.n, args.m)
-    _emit(args, K.to_json())
-    return EXIT_TRUE
+    return cyclic_polytope_boundary(args.n, args.m).to_json()
 
 
 def cmd_check_manifold(args):
     K = _load(args.complex, SimplicialComplex, "complex")
     cert = is_homology_sphere(K)
-    payload = {"verdict": cert.verdict,
-               "manifold": "certified_manifold" if cert else "unknown",
-               "homology": cert.homology.to_json(),
-               "certificate": cert.to_json()}
-    _emit(args, payload)
-    return EXIT_TRUE if cert.verdict else EXIT_FALSE
+    return {"verdict": cert.verdict,
+            "manifold": "certified_manifold" if cert else "unknown",
+            "homology": cert.homology.to_json(),
+            "certificate": cert.to_json()}
 
 
 def cmd_check_free(args):
     K = _load(args.complex, SimplicialComplex, "complex")
     T = _load(args.torus, Subtorus, "subtorus")
     res = acts_freely(T, K)
-    payload = {"verdict": res.free,
-               "witness_facet": list(res.witness) if res.witness else None}
-    _emit(args, payload)
-    return EXIT_TRUE if res.free else EXIT_FALSE
+    return {"verdict": res.free,
+            "witness_facet": list(res.witness) if res.witness else None}
 
 
 def cmd_extend_char(args):
@@ -194,8 +188,7 @@ def cmd_extend_char(args):
         payload["characteristic_matrix"] = res.lam.to_json()
     else:
         payload["message"] = res.message
-    _emit(args, payload)
-    return EXIT_TRUE if res.success else EXIT_FALSE
+    return payload
 
 
 def _theta_from_args(args):
@@ -221,19 +214,16 @@ def cmd_quotient_h2(args):
         payload["warning"] = ("even torsion present: the mod-2 "
                               "presentation may differ from H^2 with Z/2 "
                               "coefficients by a Tor term")
-    _emit(args, payload)
-    return EXIT_TRUE
+    return payload
 
 
 def cmd_w2(args):
     theta = _theta_from_args(args)
     cls, zero = w2_of_quotient(theta)
-    payload = {"verdict": not zero,
-               "w2": {"coords": list(cls.coords), "nonzero": not zero,
-                      "basis": cls.ambient},
-               "w1": 0}
-    _emit(args, payload)
-    return EXIT_TRUE if not zero else EXIT_FALSE
+    return {"verdict": not zero,
+            "w2": {"coords": list(cls.coords), "nonzero": not zero,
+                   "basis": cls.ambient},
+            "w1": 0}
 
 
 def cmd_sw_quasitoric(args):
@@ -249,8 +239,7 @@ def cmd_sw_quasitoric(args):
                "sw_trivial": trivial}
     if ring.dim(ring.top) == 1:
         payload["sw_numbers"] = sw_numbers(ring)
-    _emit(args, payload)
-    return EXIT_TRUE if not trivial else EXIT_FALSE
+    return payload
 
 
 def _entry(item):
@@ -270,8 +259,7 @@ def cmd_search_free(args):
     res = search_free(K, cfg)
     payload = res.to_json()
     payload["verdict"] = bool(res.found)
-    _emit(args, payload)
-    return EXIT_TRUE if res.found else EXIT_FALSE
+    return payload
 
 
 def build_parser():
@@ -358,7 +346,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        _emit(args, payload)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -370,6 +359,7 @@ def main(argv=None):
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_FALSE if payload.get("verdict") is False else EXIT_TRUE
 
 
 if __name__ == "__main__":

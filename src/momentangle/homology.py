@@ -263,10 +263,10 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
 
     def check(masks, removed, key):
         """Certify the complex with facet bitmasks masks and canonical key
-        key, whose vertices are K's less the mask removed."""
+        key, whose vertices are K's less the mask removed.  A link has a
+        lower dimension than its parent, so key never recurs below."""
         if key in memo:
             return memo[key]
-        memo[key] = False  # guard; overwritten below
         dim = _dimension(masks)
         if dim < 0:
             # The empty complex is the (-1)-sphere.

@@ -3,8 +3,11 @@
 Seven stages, run in order, each with a hard expected outcome: facet
 enumeration, purity, homology-sphere certification, freeness of the
 hard-coded 2-torus, exact kernel containment against the hard-coded
-quotient matrix, the H^2 cokernel, and the nonvanishing of w_2.  A report
-is produced even on failure, naming the first failing stage.
+quotient matrix, the H^2 cokernel, and the nonvanishing of w_2.  The
+stages come from one generator, and verify_c69_example holds the only
+stop rule: it appends each stage as it is yielded and ends the report at
+the first that fails, naming it; later stages are never computed.  A
+report is produced even on failure.
 """
 
 from __future__ import annotations
@@ -54,34 +57,30 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     """Run the whole pipeline; overrides exist for fault injection and for
     re-derived quotient matrices with the same row lattice."""
     stages = []
+    for st in _stages(torus_matrix, theta):
+        stages.append(st)
+        if not st.passed:
+            return VerificationReport(stages, False, st.name)
+    return VerificationReport(stages, True, None)
 
-    def fail():
-        first = next(s.name for s in stages if not s.passed)
-        return VerificationReport(stages, False, first)
 
+def _stages(torus_matrix, theta):
+    """The StageResult of each stage in order, yielded as soon as it is
+    decided; verify_c69_example stops reading at the first failure."""
     # Stage 1: facet enumeration.
     K = cyclic_polytope_boundary(6, 9)
-    st = StageResult("gale-enumeration", len(K.facets) == 30,
-                     {"facet_count": len(K.facets)})
-    stages.append(st)
-    if not st.passed:
-        return fail()
+    yield StageResult("gale-enumeration", len(K.facets) == 30,
+                      {"facet_count": len(K.facets)})
 
     # Stage 2: purity and dimension.
-    st = StageResult("purity", K.is_pure() and K.dimension == 5,
-                     {"pure": K.is_pure(), "dimension": K.dimension})
-    stages.append(st)
-    if not st.passed:
-        return fail()
+    yield StageResult("purity", K.is_pure() and K.dimension == 5,
+                      {"pure": K.is_pure(), "dimension": K.dimension})
 
     # Stage 3: homology-sphere certificate.
     cert = is_homology_sphere(K)
-    st = StageResult("homology-sphere", cert.verdict,
-                     {"criterion": cert.criterion,
-                      "complexes_checked": len(cert.complexes)})
-    stages.append(st)
-    if not st.passed:
-        return fail()
+    yield StageResult("homology-sphere", cert.verdict,
+                      {"criterion": cert.criterion,
+                       "complexes_checked": len(cert.complexes)})
 
     # Stage 4: freeness, including the unit-2x2-minor check on every
     # facet complement.
@@ -90,8 +89,8 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     try:
         T = Subtorus(A)
     except ValueError as exc:
-        stages.append(StageResult("freeness", False, {"error": str(exc)}))
-        return fail()
+        yield StageResult("freeness", False, {"error": str(exc)})
+        return
     res = acts_freely(T, K)
     minor_ok = True
     bad_comp = None
@@ -102,26 +101,21 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
             minor_ok = False
             bad_comp = comp
             break
-    st = StageResult("freeness", res.free and minor_ok,
-                     {"witness_facet": list(res.witness) if res.witness
-                      else None,
-                      "unit_minor_on_all_complements": minor_ok,
-                      "bad_complement": list(bad_comp) if bad_comp else None})
-    stages.append(st)
-    if not st.passed:
-        return fail()
+    yield StageResult("freeness", res.free and minor_ok,
+                      {"witness_facet": list(res.witness) if res.witness
+                       else None,
+                       "unit_minor_on_all_complements": minor_ok,
+                       "bad_complement": list(bad_comp) if bad_comp
+                       else None})
 
     # Stage 5: the quotient matrix annihilates the torus rows and its
     # kernel lattice is exactly the torus lattice.
     Q = theta if theta is not None else cyclic69_quotient_matrix()
     annihilates = (Q @ A.transpose()).is_zero()
     kernel_match = row_lattice_equal(kernel_lattice(Q), A)
-    st = StageResult("kernel-containment", annihilates and kernel_match,
-                     {"annihilates": annihilates,
-                      "kernel_equals_torus_lattice": kernel_match})
-    stages.append(st)
-    if not st.passed:
-        return fail()
+    yield StageResult("kernel-containment", annihilates and kernel_match,
+                      {"annihilates": annihilates,
+                       "kernel_equals_torus_lattice": kernel_match})
 
     # Stage 6: H^2 = Z^2, torsion-free, with the expected images of the
     # ambient generators: each relation v_gen = sum of v_b vanishes in
@@ -138,25 +132,17 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
         if not pres.vanishes(vec):
             rel_ok = False
             break
-    st = StageResult(
+    yield StageResult(
         "h2",
         pres.free_rank == 2 and not pres.torsion and rel_ok,
         {"free_rank": pres.free_rank, "torsion": list(pres.torsion),
          "generator_relations_hold": rel_ok})
-    stages.append(st)
-    if not st.passed:
-        return fail()
 
     # Stage 7: w2 is [v1] + [v2], nonzero.  Both classes come in the
     # same basis of the mod-2 cokernel, so equal coordinates mean equal
     # classes.
     cls, zero = w2_of_quotient(Q)
     same = mod2_class(Q, [1, 1] + [0] * (Q.cols - 2)) == cls
-    st = StageResult("w2", (not zero) and same,
-                     {"coords": list(cls.coords), "nonzero": not zero,
-                      "equals_v1_plus_v2": same})
-    stages.append(st)
-    if not st.passed:
-        return fail()
-
-    return VerificationReport(stages, True, None)
+    yield StageResult("w2", (not zero) and same,
+                      {"coords": list(cls.coords), "nonzero": not zero,
+                       "equals_v1_plus_v2": same})

@@ -161,15 +161,13 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         return result
     # The palette is every k-tuple over the entry set, in product order.
     palette.extend(product(cfg.entry_set, repeat=k))
-    # Constraints by last column.  An empty complement, which only k = 0
-    # reaches and which is then primitive, goes to 0, never read.
-    by_depth = {}
+    # heads[d]: the complements ending at column d + 1, less that column,
+    # whose other columns are all fixed at a node of depth d.  An empty
+    # complement, which only k = 0 reaches, is primitive and goes nowhere.
+    heads = [[] for _ in range(m)]
     for comp in comps:
-        by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
-    # The complements ending at column d + 1, less that column, whose
-    # other columns are all fixed at a node of depth d.
-    heads = [[comp[:-1] for comp in by_depth.get(d + 1, ())]
-             for d in range(m)]
+        if comp:
+            heads[comp[-1] - 1].append(comp[:-1])
     identity = [[int(i == j) for j in range(k)] for i in range(k)]
     # The last transform: the codes up to its k-th pivot column, and for
     # each row i of U the list of (U palette[c])_i over the codes c.

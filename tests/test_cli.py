@@ -431,12 +431,38 @@ class TestReportText:
         assert set(runs) == set(commands)
         out_path = tmp_path / "out.json"
         for name, argv in runs.items():
-            assert main(["--json-out", str(out_path)] + argv) in (0, 1)
+            code = main(["--json-out", str(out_path)] + argv)
             out = capsys.readouterr().out
+            # The exit code is 1 exactly when the verdict is false.
+            verdict = json.loads(out).get("verdict")
+            assert code == (1 if verdict is False else 0), name
             # The round trip keeps the bytes even for the int keys of the
             # check-manifold certificate, which json writes quoted.
             assert out == json.dumps(json.loads(out), indent=2) + "\n", name
             assert out_path.read_text() == out, name
+
+    def test_negative_runs_exit_1(self, capsys, tmp_path, c69_file):
+        rp2 = tmp_path / "rp2.json"
+        rp2.write_text(json.dumps({"m": 6, "facets": RP2_6}))
+        ones = tmp_path / "ones.json"
+        ones.write_text(json.dumps(IntMatrix([[1] * 9]).to_json()))
+        coords = tmp_path / "coords.json"
+        coords.write_text(json.dumps(
+            {"m": 9, "rows": [[int(i == j) for j in range(9)]
+                              for i in range(3)]}))
+        runs = {
+            "w2": ["w2", "--theta", str(ones)],
+            "check-manifold": ["check-manifold", "--complex", str(rp2)],
+            "extend-char": ["--seed", "1", "extend-char", "--complex",
+                            c69_file, "--torus", str(coords)],
+            "search-free": ["search-free", "--complex", c69_file,
+                            "--k", "3"],
+        }
+        for name, argv in runs.items():
+            assert main(argv) == 1, name
+            out = capsys.readouterr().out
+            assert json.loads(out)["verdict"] is False, name
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", name
 
 
 class TestGlobalFlags:

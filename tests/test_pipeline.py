@@ -35,6 +35,24 @@ class TestVerify:
         report = verify_c69_example(theta=theta)
         assert report.passed
 
+    def test_non_primitive_torus_stops_at_freeness(self):
+        rows = [list(r) for r in cyclic69_free_subtorus().matrix.data]
+        rows[0] = [2 * x for x in rows[0]]
+        report = verify_c69_example(torus_matrix=IntMatrix(rows))
+        assert not report.passed
+        assert [s.name for s in report.stages] == [
+            "gale-enumeration", "purity", "homology-sphere", "freeness"]
+        assert report.first_failure == "freeness"
+        assert set(report.stages[-1].details) == {"error"}
+
+    def test_wrong_theta_stops_at_kernel_containment(self):
+        report = verify_c69_example(theta=IntMatrix([[1] + [0] * 8]))
+        assert not report.passed
+        assert len(report.stages) == 5
+        assert report.stages[-1].name == "kernel-containment"
+        assert report.first_failure == "kernel-containment"
+        assert all(s.passed for s in report.stages[:-1])
+
     def test_two_smith_forms(self, monkeypatch):
         # One for the kernel lattice of stage 5 and one for the H^2
         # presentation of stage 6, whose generator relations are read off
