@@ -6,6 +6,8 @@ the verdict is false, 0 otherwise (a command without a verdict succeeds
 with 0).  2 is an input error and 3 an internal error (a failed
 assertion or any other unexpected exception, so a crash never reads as a
 negative verdict).  All randomness requires an explicit --seed.
+COMMANDS is the one table of subcommands; a subcommand's parser is
+built only when its name is given.
 """
 
 from __future__ import annotations
@@ -262,6 +264,64 @@ def cmd_search_free(args):
     return payload
 
 
+_REQUIRED = {"required": True}
+_THETA_OR_TORUS = {"--theta": {}, "--torus": {}}
+
+# Every subcommand, in the order of the help text: its name, its help,
+# its handler and the add_argument keywords of each of its arguments.
+COMMANDS = {
+    "verify-example": (
+        "run the full boundary-of-C6(9) verification pipeline",
+        cmd_verify_example, {}),
+    "facets-cyclic": (
+        "facets of a cyclic polytope boundary by Gale evenness",
+        cmd_facets_cyclic, {"n": {"type": int}, "m": {"type": int}}),
+    "check-manifold": ("homology-sphere certificate for a complex",
+                       cmd_check_manifold, {"--complex": _REQUIRED}),
+    "check-free": ("does a subtorus act freely on Z_K?", cmd_check_free,
+                   {"--complex": _REQUIRED, "--torus": _REQUIRED}),
+    "extend-char": (
+        "extend a subtorus to a rational characteristic matrix "
+        "(randomized)", cmd_extend_char,
+        {"--complex": _REQUIRED, "--torus": _REQUIRED,
+         "--entry-bound": {"type": int, "default": None},
+         "--max-tries": {"type": int, "default": 100_000}}),
+    "quotient-h2": ("H^2 presentation of a partial quotient",
+                    cmd_quotient_h2, _THETA_OR_TORUS),
+    "w2": ("w2 of a partial quotient", cmd_w2, _THETA_OR_TORUS),
+    "sw-quasitoric": (
+        "total Stiefel-Whitney class and numbers of a full quotient",
+        cmd_sw_quasitoric,
+        {"--complex": _REQUIRED, "--char": _REQUIRED,
+         "--generator-degree": {"type": int, "choices": (1, 2),
+                                "default": 2}}),
+    "search-free": (
+        "bounded search for freely acting subtori", cmd_search_free,
+        {"--complex": _REQUIRED, "--k": {"type": int, "required": True},
+         "--entries": {"default": "0,1",
+                       "help": "comma-separated allowed entries"},
+         "--mode": {"choices": ("exhaustive", "random"),
+                    "default": "exhaustive"},
+         "--samples": {"type": int, "default": 0}}),
+}
+
+
+class _Subcommand:
+    """Stand-in parser of one subcommand: argparse calls only its
+    parse_known_args, which builds the real parser from COMMANDS."""
+
+    def __init__(self, command, **kwargs):
+        self.command, self.kwargs = command, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        _, handler, arguments = COMMANDS[self.command]
+        for name, spec in arguments.items():
+            parser.add_argument(name, **spec)
+        parser.set_defaults(func=handler)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="momentangle",
@@ -275,70 +335,10 @@ def build_parser():
                              "where randomness is used)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress stdout output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-example",
-                       help="run the full boundary-of-C6(9) verification "
-                            "pipeline")
-    p.set_defaults(func=cmd_verify_example)
-
-    p = sub.add_parser("facets-cyclic",
-                       help="facets of a cyclic polytope boundary by "
-                            "Gale evenness")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_facets_cyclic)
-
-    p = sub.add_parser("check-manifold",
-                       help="homology-sphere certificate for a complex")
-    p.add_argument("--complex", required=True)
-    p.set_defaults(func=cmd_check_manifold)
-
-    p = sub.add_parser("check-free",
-                       help="does a subtorus act freely on Z_K?")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--torus", required=True)
-    p.set_defaults(func=cmd_check_free)
-
-    p = sub.add_parser("extend-char",
-                       help="extend a subtorus to a rational "
-                            "characteristic matrix (randomized)")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--torus", required=True)
-    p.add_argument("--entry-bound", type=int, default=None)
-    p.add_argument("--max-tries", type=int, default=100_000)
-    p.set_defaults(func=cmd_extend_char)
-
-    p = sub.add_parser("quotient-h2",
-                       help="H^2 presentation of a partial quotient")
-    p.add_argument("--theta")
-    p.add_argument("--torus")
-    p.set_defaults(func=cmd_quotient_h2)
-
-    p = sub.add_parser("w2", help="w2 of a partial quotient")
-    p.add_argument("--theta")
-    p.add_argument("--torus")
-    p.set_defaults(func=cmd_w2)
-
-    p = sub.add_parser("sw-quasitoric",
-                       help="total Stiefel-Whitney class and numbers of a "
-                            "full quotient")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--char", required=True)
-    p.add_argument("--generator-degree", type=int, choices=(1, 2), default=2)
-    p.set_defaults(func=cmd_sw_quasitoric)
-
-    p = sub.add_parser("search-free",
-                       help="bounded search for freely acting subtori")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--entries", default="0,1",
-                   help="comma-separated allowed entries")
-    p.add_argument("--mode", choices=("exhaustive", "random"),
-                   default="exhaustive")
-    p.add_argument("--samples", type=int, default=0)
-    p.set_defaults(func=cmd_search_free)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
+    for name, (help_text, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, command=name)
     return parser
 
 

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import (IntMatrix, InternalError, det, hermite_normal_form,
-                        is_primitive_cols, is_primitive_rows, kernel_lattice,
-                        rank_rational, row_lattice_equal)
+from .intlinalg import (IntMatrix, InternalError, _bareiss, det,
+                        hermite_normal_form, is_primitive_cols,
+                        is_primitive_rows, kernel_lattice, rank_rational,
+                        row_lattice_equal)
 from .simplicial import SimplicialComplex
 
 
@@ -269,7 +270,8 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
     entry_bound and max_tries must be at least 1, else ValueError: bound 0
     only draws zero rows.  Generic rows succeed with probability
     approaching 1 as the entry bound grows, so failure after max_tries is
-    reported, not raised.  The
+    reported, not raised.  A torus of dimension m - n draws no row; its
+    failure names a facet on whose complement its own minor is zero.  The
     returned lam is a kernel basis of the extended matrix, with T inside
     its kernel torus.  By Gale duality (characteristic_duality_holds) the
     nonzero complement minors make lam a rational characteristic matrix
@@ -289,24 +291,35 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
         raise ValueError(f"max tries must be at least 1, got {max_tries}")
     rng = random.Random(seed)
     comps = K.facet_complements()
+    size = m - n
 
-    def dets_ok(theta_full):
-        return all(det(theta_full.submatrix_cols(c)) != 0 for c in comps)
+    def first_singular(rows):
+        """Index of the first facet whose complement minor of rows is
+        zero (rank below full on the square minor), or None."""
+        return next((i for i, c in enumerate(comps)
+                     if _bareiss([[row[j - 1] for j in c] for row in rows],
+                                 size)[0] < size), None)
 
     tries = 0
     while tries < max_tries:
         tries += 1
-        extra = [[rng.randint(-bound, bound) for _ in range(m)]
-                 for _ in range(need)]
-        theta_full = T.matrix.stack(IntMatrix(extra, rows=need, cols=m))
-        if dets_ok(theta_full):
+        rows = T.matrix.data + tuple(
+            tuple(rng.randint(-bound, bound) for _ in range(m))
+            for _ in range(need))
+        bad = first_singular(rows)
+        if bad is None:
+            theta_full = IntMatrix(rows, rows=size, cols=m)
             lam = kernel_lattice(theta_full)
             if not is_rational_characteristic(lam, K):
                 raise InternalError(
                     "kernel of the extension is not characteristic")
             return ExtensionResult(True, theta_full, lam, tries)
-        if need == 0:
-            break  # nothing is being sampled; retrying cannot help
+        if need == 0:  # nothing is being sampled; retrying cannot help
+            return ExtensionResult(
+                False, None, None, tries,
+                f"no row drawn: the torus already has dimension "
+                f"m - n = {size}, and its own minor on the complement of "
+                f"facet {list(K.facets[bad])} is zero")
     return ExtensionResult(False, None, None, tries,
                            f"no valid extension in {tries} tries "
                            f"(entry bound {bound})")

@@ -270,6 +270,19 @@ class TestExtension:
         assert res.theta_full == T.matrix
         assert res.tries == 1
 
+    def test_full_size_torus_names_its_singular_facet(self):
+        # With k = m - n no row is drawn, so the failure names a facet on
+        # whose complement the torus's own minor is zero, not a bound.
+        K = cyclic_polytope_boundary(6, 9)
+        T = Subtorus(IntMatrix([[int(i == j) for j in range(9)]
+                                for i in range(3)]))
+        res = extend_to_characteristic(T, K, seed=1)
+        assert (res.success, res.tries) == (False, 1)
+        assert "entry bound" not in res.message
+        assert res.message.startswith("no row drawn")
+        assert res.message.endswith("facet [1, 2, 3, 4, 5, 6] is zero")
+        assert det(T.matrix.submatrix_cols((7, 8, 9))) == 0
+
     def test_dimension_too_large(self):
         K = boundary_of_simplex(2)
         with pytest.raises(ValueError):
