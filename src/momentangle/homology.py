@@ -290,8 +290,8 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
             for bit in _bits(supp):
                 link = [f ^ bit for f in masks if f & bit and f != bit]
                 link_key = _canonical_key(link)
-                # The vertex's label as SimplicialComplex.link numbers it:
-                # its label in K less the removed vertices below it.
+                # K's vertices less the removed ones are numbered 1, 2, ...
+                # in order, so bit's label is K's less the removed below it.
                 label = bit.bit_length() - (removed & (bit - 1)).bit_count()
                 name = names.get(link_key)
                 if name is None:
@@ -314,8 +314,3 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     return SphereCertificate(verdict=verdict, root=root, complexes=table,
                              homology=prof, settled_by=settled)
 
-
-def manifold_verdict(K: SimplicialComplex) -> str:
-    """"certified_manifold" when K certifies as a homology sphere, else
-    "unknown" — never "not a manifold"."""
-    return "certified_manifold" if is_homology_sphere(K) else "unknown"

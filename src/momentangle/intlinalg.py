@@ -51,10 +51,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -454,11 +450,6 @@ def cokernel(A):
     return AbelianGroupPresentation(
         free_rank=free_rank, torsion=torsion,
         generator_images=IntMatrix(images, rows=len(kept), cols=A.rows))
-
-
-def image_contains(A, b):
-    """Does A x = b have an integer solution?  b is a length-rows vector."""
-    return cokernel(A).vanishes(b)
 
 
 def hermite_normal_form_rows(rows):

@@ -3,27 +3,23 @@
 Candidates are k x m matrices over a finite entry set of distinct
 values.  A candidate is held as m codes into a palette of distinct
 columns: every k-tuple over the entry set in exhaustive mode, the
-columns drawn so far in random mode.  Freeness comes from the torus
-module's memoised test behind acts_freely.  Exhaustive mode builds
-candidates column by column.  At each node it masks, once, the fixed
-columns of every facet complement that the next column completes, and
-keeps only the child codes that free all of them (torus.free_codes), so
-a failing child is never entered; the counts are those of checking each
-complement once its last column is chosen.  It explores nothing when k
-exceeds the size of the smallest facet complement, since fewer than k
-columns never generate Z^k.  Random mode draws cfg.samples >= 1
-candidates.  Each search_free call owns one memo of that test, keyed on
-the int bitmask of the palette codes of a complement, that is on its set
-of distinct columns, so the test runs once per column set however often
-the set recurs; the memo ends with the call, and random mode starts
-palette and memo over before the palette would pass RANDOM_PALETTE_LIMIT
-codes.  Results are deduplicated by the Hermite normal form of the row
-lattice, computed on plain rows, so GL_k(Z)-equivalent candidates count
-once and a duplicate builds no matrix.  The HNF stops at the k-th pivot,
-so it is U A for a unimodular U fixed by the columns up to that pivot;
-exhaustive mode reads U off the HNF of [A | I_k] at one leaf and keys
-every following leaf that shares those codes by the palette's images
-under U, without another HNF.
+columns drawn so far in random mode.  Freeness comes from one
+torus.FreenessTest per search_free call, the memoised test behind
+acts_freely.  Exhaustive mode builds candidates column by column.  At
+each node it masks, once, the fixed columns of every facet complement
+that the next column completes, and keeps only the child codes that free
+all of them (FreenessTest.free_codes), so a failing child is never
+entered; the counts are those of checking each complement once its last
+column is chosen.  It explores nothing when k exceeds the size of the
+smallest facet complement, since fewer than k columns never generate
+Z^k.  Random mode draws cfg.samples >= 1 candidates and codes each one's
+columns into the test's palette.  Results are deduplicated by the
+Hermite normal form of the row lattice, computed on plain rows, so
+GL_k(Z)-equivalent candidates count once and a duplicate builds no
+matrix.  The HNF stops at the k-th pivot, so it is U A for a unimodular
+U fixed by the columns up to that pivot; exhaustive mode reads U off the
+HNF of [A | I_k] at one leaf and keys every following leaf that shares
+those codes by the palette's images under U, without another HNF.
 
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
@@ -38,11 +34,7 @@ from typing import Optional
 
 from .intlinalg import IntMatrix, hermite_normal_form_rows
 from .simplicial import SimplicialComplex
-from .torus import PreconditionError, Subtorus, first_unfree, free_codes
-
-# Random mode codes the columns it has drawn; a memo key is a bitmask over
-# those codes, so this cap keeps every key within 256 bytes.
-RANDOM_PALETTE_LIMIT = 1 << 11
+from .torus import FreenessTest, PreconditionError, Subtorus
 
 BOUNDED_EVIDENCE = ("bounded evidence: search covered the stated entry set "
                     "only; a negative result is not a proof")
@@ -61,6 +53,10 @@ class SearchConfig:
     samples: int = 0
 
     def __post_init__(self):
+        # Exact ints only: a float or a bool is an error, never rounded.
+        for x in (self.k, *self.entry_set):
+            if type(x) is not int:
+                raise TypeError(f"search value {x!r} is not an exact integer")
         if self.k < 0:
             raise ValueError(
                 f"subtorus dimension k must be >= 0, got {self.k}")
@@ -113,8 +109,6 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     k = cfg.k
     result = SearchResult()
     seen = set()
-    memo = {}  # bitmask of a complement's palette codes -> primitive?
-    palette = []  # distinct columns; a candidate is a list of codes into it
     # Without facets the empty face is maximal.
     comps = K.facet_complements() or [tuple(range(1, m + 1))]
 
@@ -129,28 +123,17 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         result.found.append(T)
 
     if cfg.mode == "random":
-        # The palette is the distinct columns in order of first draw.  It
-        # starts over, with the memo, before it would pass
-        # RANDOM_PALETTE_LIMIT codes, which bounds the memo keys.
+        # The palette is the distinct columns in order of first draw.
         rng = random.Random(cfg.seed)
-        index = {}  # column -> its code
+        test = FreenessTest(k)
         for _ in range(cfg.samples):
             rows = [[rng.choice(cfg.entry_set) for _ in range(m)]
                     for _ in range(k)]
-            if len(palette) + m > RANDOM_PALETTE_LIMIT:
-                palette.clear()
-                index.clear()
-                memo.clear()
-            codes = []
-            for j in range(m):
-                col = tuple(row[j] for row in rows)
-                code = index.get(col)
-                if code is None:
-                    code = index[col] = len(palette)
-                    palette.append(col)
-                codes.append(code)
+            # One column per vertex, so k = 0 codes m empty columns.
+            codes = test.code([tuple(row[j] for row in rows)
+                               for j in range(m)])
             result.explored += 1
-            if first_unfree(k, palette, codes, comps, memo) is None:
+            if test.first_unfree(codes, comps) is None:
                 record(hermite_normal_form_rows(rows))
         return result
 
@@ -160,7 +143,8 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     if k > min(map(len, comps)):
         return result
     # The palette is every k-tuple over the entry set, in product order.
-    palette.extend(product(cfg.entry_set, repeat=k))
+    test = FreenessTest(k, product(cfg.entry_set, repeat=k))
+    palette = test.palette
     # heads[d]: the complements ending at column d + 1, less that column,
     # whose other columns are all fixed at a node of depth d.  An empty
     # complement, which only k = 0 reaches, is primitive and goes nowhere.
@@ -208,7 +192,7 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         result.explored += len(palette)
         # Descend only into the children that pass the complements ending
         # at the next column.
-        for c in (free_codes(k, palette, codes, heads[depth], memo)
+        for c in (test.free_codes(codes, heads[depth])
                   if heads[depth] else range(len(palette))):
             codes.append(c)
             dfs()

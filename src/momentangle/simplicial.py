@@ -72,13 +72,6 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         return len(sizes) <= 1
 
-    def support(self):
-        """Vertices that belong to at least one facet, ascending."""
-        seen = set()
-        for f in self.facets:
-            seen.update(f)
-        return tuple(sorted(seen))
-
     def facet_complements(self):
         """{1..m} minus each facet, ascending, in facet order."""
         out = []
@@ -87,12 +80,6 @@ class SimplicialComplex:
             out.append(tuple(v for v in range(1, self.m + 1)
                              if v not in fset))
         return out
-
-    def has_face(self, sigma):
-        sigma = set(sigma)
-        if not sigma:
-            return True
-        return any(sigma <= set(f) for f in self.facets)
 
     def faces_of_dim(self, d):
         """All d-faces in ascending order; d = -1 gives the empty face."""
@@ -112,25 +99,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
-
-    def link(self, sigma):
-        """Link of a face, relabeled to 1..m-|sigma|.
-
-        Returns (L, labels) where labels[i] is the original label of the
-        new vertex i+1.  Vertices of K outside sigma that end up in no
-        facet of the link survive as ghost vertices.
-        """
-        sigma = tuple(sorted(set(sigma)))
-        if not self.has_face(sigma):
-            raise ValueError(f"{sigma} is not a face of the complex")
-        if not sigma:
-            return self, tuple(range(1, self.m + 1))
-        labels = tuple(v for v in range(1, self.m + 1) if v not in sigma)
-        newlabel = {v: i + 1 for i, v in enumerate(labels)}
-        sset = set(sigma)
-        faces = [tuple(newlabel[v] for v in f if v not in sset)
-                 for f in self.facets if sset <= set(f)]
-        return SimplicialComplex(len(labels), faces), labels
 
     def minimal_nonfaces(self):
         """Inclusion-minimal non-faces (generators of the non-face ideal),

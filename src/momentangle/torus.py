@@ -99,103 +99,121 @@ def _check_action_input(T: Subtorus, K: SimplicialComplex):
 
 # A memo entry costs about 80 bytes with a palette of up to 30 codes; the
 # int key grows by 4 bytes per 30 codes, to about 340 bytes an entry at the
-# 2048 codes of search.RANDOM_PALETTE_LIMIT.  In a long random search over a
+# 2048 codes of FREENESS_PALETTE_LIMIT.  In a long random search over a
 # wide entry set nearly every column set is new, so without a cap the memo
 # would grow with the run time.  The cap holds it under 25 MB there; the
 # exhaustive searches of the boundary of C_6(9) need at most 92 entries.
 FREENESS_MEMO_LIMIT = 1 << 16
+FREENESS_PALETTE_LIMIT = 1 << 11
 
 
-def _primitive_by_key(k, palette, key, memo):
-    """is_primitive_cols(k, ...) of the columns coded by key, an int
-    bitmask of indices into palette, stored in memo under key while memo
-    has fewer than FREENESS_MEMO_LIMIT entries: the one memo insertion of
-    first_unfree and free_codes, which call it on a memo miss."""
-    cols = []
-    rest = key
-    while rest:
-        low = rest & -rest
-        cols.append(palette[low.bit_length() - 1])
-        rest ^= low
-    free = is_primitive_cols(k, cols)
-    if len(memo) < FREENESS_MEMO_LIMIT:
-        memo[key] = free
-    return free
+class FreenessTest:
+    """The one freeness test, for one k: do the columns labelled by each
+    set generate Z^k?  Free on Z_K when the sets are K's facet
+    complements.
 
+    Columns are held as codes into palette, a list of distinct length-k
+    columns: column j is palette[codes[j - 1]].  memo maps the set of codes
+    of a label set, as an int bitmask of palette indices, to
+    is_primitive_cols(k, ...), so the test runs once per set of distinct
+    columns however often the set recurs.  The key is exact: rank k with
+    every invariant factor 1 means the columns generate Z^k, which depends
+    only on the set of distinct columns, not on their order or
+    multiplicity.  The memo stops growing at FREENESS_MEMO_LIMIT entries,
+    and code() starts palette and memo over before the palette would pass
+    FREENESS_PALETTE_LIMIT codes, which keeps a key within 256 bytes.  A
+    caller testing many candidates keeps one instance for all of them."""
 
-def _complement_mask(codes, comp):
-    """Bitmask of the palette codes of the columns labelled by comp."""
-    key = 0
-    for j in comp:
-        key |= 1 << codes[j - 1]
-    return key
+    def __init__(self, k, palette=()):
+        self.k = k
+        self.palette = list(palette)
+        self.index = {col: c for c, col in enumerate(self.palette)}
+        self.memo = {}
 
+    def code(self, columns):
+        """The codes of columns, a sequence of length-k tuples; a column
+        new to the palette gets the next code."""
+        palette, index = self.palette, self.index
+        if len(palette) + len(columns) > FREENESS_PALETTE_LIMIT:
+            palette.clear()
+            index.clear()
+            self.memo.clear()
+        codes = []
+        for col in columns:
+            code = index.get(col)
+            if code is None:
+                code = index[col] = len(palette)
+                palette.append(col)
+            codes.append(code)
+        return codes
 
-def first_unfree(k, palette, codes, comps, memo=None):
-    """Index of the first label set in comps (1-based, into the columns)
-    whose columns are not primitive, or None: the one freeness test, free
-    on Z_K when comps are K's facet complements.
-
-    The columns are given as codes into palette, a sequence of distinct
-    length-k columns: column j is palette[codes[j - 1]].  memo maps the
-    set of codes of a complement, as an int bitmask of palette indices, to
-    is_primitive_cols(k, ...) for this one k and palette; a caller testing
-    many candidates passes one dict to every call, and a fresh dict is
-    used when it is None.  It stops growing at FREENESS_MEMO_LIMIT
-    entries.  The key is exact: rank k with every invariant factor 1 means
-    the columns generate Z^k, which depends only on the set of distinct
-    columns, not on their order or multiplicity."""
-    if memo is None:
-        memo = {}
-    for i, comp in enumerate(comps):
-        key = _complement_mask(codes, comp)
-        free = memo.get(key)
-        if free is None:
-            free = _primitive_by_key(k, palette, key, memo)
-        if not free:
-            return i
-    return None
-
-
-def free_codes(k, palette, codes, heads, memo):
-    """The codes c into palette, ascending, for which first_unfree(k,
-    palette, codes + [c], comps, memo) is None, where comps are the label
-    sets in heads each extended by column len(codes) + 1: the children of
-    a search node that pass the complements their column completes.  The
-    columns in heads are masked once; each c then tests the complements
-    in order, up to its first failure, through the same memo."""
-    prefixes = [_complement_mask(codes, head) for head in heads]
-    out = []
-    for c in range(len(palette)):
-        bit = 1 << c
-        for prefix in prefixes:
-            key = prefix | bit
+    def first_unfree(self, codes, comps):
+        """Index of the first label set in comps (1-based, into the
+        columns coded by codes) whose columns are not primitive, or
+        None."""
+        memo = self.memo
+        for i, comp in enumerate(comps):
+            key = 0
+            for j in comp:
+                key |= 1 << codes[j - 1]
             free = memo.get(key)
             if free is None:
-                free = _primitive_by_key(k, palette, key, memo)
+                free = self._primitive(key)
             if not free:
-                break
-        else:
-            out.append(c)
-    return out
+                return i
+        return None
+
+    def free_codes(self, codes, heads):
+        """The codes c, ascending, for which first_unfree(codes + [c],
+        comps) is None, where comps are the label sets in heads each
+        extended by column len(codes) + 1: the children of a search node
+        that pass the complements their column completes.  The columns in
+        heads are masked once; each c then tests the complements in order,
+        up to its first failure."""
+        memo = self.memo
+        prefixes = []
+        for head in heads:
+            key = 0
+            for j in head:
+                key |= 1 << codes[j - 1]
+            prefixes.append(key)
+        out = []
+        for c in range(len(self.palette)):
+            bit = 1 << c
+            for prefix in prefixes:
+                key = prefix | bit
+                free = memo.get(key)
+                if free is None:
+                    free = self._primitive(key)
+                if not free:
+                    break
+            else:
+                out.append(c)
+        return out
+
+    def _primitive(self, key):
+        """The memo miss: is_primitive_cols of the columns coded by key,
+        stored while the memo is below its cap."""
+        palette = self.palette
+        cols = []
+        rest = key
+        while rest:
+            low = rest & -rest
+            cols.append(palette[low.bit_length() - 1])
+            rest ^= low
+        free = is_primitive_cols(self.k, cols)
+        if len(self.memo) < FREENESS_MEMO_LIMIT:
+            self.memo[key] = free
+        return free
 
 
 def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:
     """Free action test, one submatrix check per facet."""
     _check_action_input(T, K)
-    index = {}  # distinct column -> its code
-    codes = [index.setdefault(col, len(index))
-             for col in T.matrix.transpose().data]
-    i = first_unfree(T.k, list(index), codes, K.facet_complements())
+    test = FreenessTest(T.k)
+    i = test.first_unfree(test.code(T.matrix.transpose().data),
+                          K.facet_complements())
     return FreenessResult(i is None, None if i is None else K.facets[i])
-
-
-def acts_almost_freely(T: Subtorus, K: SimplicialComplex) -> bool:
-    """Finite isotropy everywhere: rational rank k outside every facet."""
-    _check_action_input(T, K)
-    k = T.k
-    return all(rank_rational(T.matrix.submatrix_cols(comp)) == k
-               for comp in K.facet_complements())
 
 
 def is_rational_characteristic(lam: IntMatrix, K: SimplicialComplex) -> bool:

@@ -10,11 +10,11 @@ from momentangle.charclasses import (GradedMod2Ring, _poly_mul,
                                      mod2_class, sw_numbers, sw_triviality,
                                      total_sw_class, w2_of_quotient)
 from momentangle.cli import main
-from momentangle.intlinalg import (IntMatrix, image_contains,
-                                   rows_to_bitmasks, rref_mod2)
+from momentangle.intlinalg import IntMatrix, rows_to_bitmasks, rref_mod2
 from momentangle.simplicial import boundary_of_simplex, new_complex
 from momentangle.torus import (cyclic69_quotient_matrix, quotient_projection,
                                cyclic69_free_subtorus)
+from oracles import image_contains
 
 
 def lucas_binom_mod2(n, k):

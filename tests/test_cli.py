@@ -642,3 +642,20 @@ class TestVerifyExample:
         main(["verify-example"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_cli_imports_only_the_standard_library():
+    # The package declares no runtime dependency.  Modules that site
+    # hooks load at startup are in the snapshot, so they do not count.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import momentangle.cli\n"
+        "for name in sorted(set(sys.modules) - before):\n"
+        "    top = name.partition('.')[0]\n"
+        "    if top not in sys.stdlib_module_names and top != 'momentangle':\n"
+        "        print(name)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

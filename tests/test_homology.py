@@ -12,11 +12,11 @@ from momentangle.homology import (InternalError, SphereCertificate,
                                   _boundary_columns,
                                   _check_boundary_squared_zero,
                                   _collapses_off_a_facet, _key_str,
-                                  homology, is_homology_sphere,
-                                  manifold_verdict)
+                                  homology, is_homology_sphere)
 from momentangle.intlinalg import IntMatrix, rank_mod2, smith
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
+from oracles import link, manifold_verdict, support
 
 # Minimal 6-vertex triangulation of the real projective plane: the one
 # complex in the suite with integer torsion (H_1 = Z/2).
@@ -128,12 +128,12 @@ def matches_sphere(K):
 
 def reference_certificate(K):
     """The certificate as the recursion built it on SimplicialComplex
-    objects: links by K.link, keys from the relabeled support, and
+    objects: links by oracles.link, keys from the relabeled support, and
     homology for the homology condition of every complex."""
     memo, table = {}, {}
 
     def key_of(L):
-        relabel = {v: i + 1 for i, v in enumerate(L.support())}
+        relabel = {v: i + 1 for i, v in enumerate(support(L))}
         return (len(relabel), tuple(sorted(tuple(relabel[v] for v in f)
                                            for f in L.facets)))
 
@@ -151,11 +151,11 @@ def reference_certificate(K):
         links = {}
         ok = hom_ok
         if hom_ok:
-            for v in L.support():
-                link, _ = L.link((v,))
-                link_key = key_of(link)
+            for v in support(L):
+                lk, _ = link(L, (v,))
+                link_key = key_of(lk)
                 links[v] = _key_str(link_key)
-                if link.dimension != dim - 1 or not check(link, link_key):
+                if lk.dimension != dim - 1 or not check(lk, link_key):
                     ok = False
                     break
         memo[key] = ok
@@ -471,7 +471,7 @@ class TestCollapse:
         links = []
         for n, m in ((3, 7), (4, 7), (4, 8), (5, 8), (6, 9)):
             K = relabelled(cyclic_polytope_boundary(n, m), rng)
-            links += [K.link((v,))[0] for v in K.support()]
+            links += [link(K, (v,))[0] for v in support(K)]
         complexes += links + [suspension(L) for L in links[::4]]
         collapsed = 0
         for K in complexes:
@@ -485,7 +485,7 @@ class TestCollapse:
         rng = random.Random(1998)
         links = [L for n, m in ((3, 6), (4, 7), (6, 9))
                  for K in [relabelled(cyclic_polytope_boundary(n, m), rng)]
-                 for L in [K.link((v,))[0] for v in K.support()]]
+                 for L in [link(K, (v,))[0] for v in support(K)]]
         cones = [cone(K) for K in links + [boundary_of_simplex(2), RP2,
                                             TORUS_7, suspension(links[0])]]
         for K in [RP2, TORUS_7, SUSP_RP2] + cones:

@@ -10,8 +10,8 @@ from momentangle.intlinalg import (IntMatrix, hermite_normal_form,
 from momentangle.search import SearchConfig, search_free
 from momentangle.simplicial import (boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from momentangle.torus import (PreconditionError, Subtorus, acts_freely,
-                               first_unfree)
+from momentangle.torus import (FreenessTest, PreconditionError, Subtorus,
+                               acts_freely)
 
 ORACLE_COMPLEXES = [
     boundary_of_simplex(2),
@@ -219,6 +219,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="--seed 0"):
             SearchConfig(k=1, entry_set=(0, 1), seed=0)
 
+    def test_inexact_values_rejected(self):
+        # A float entry once ran the search silently, a bool entry failed
+        # inside it, and a float k failed inside itertools.product.
+        for k, entries in ((1, (0.5, 1)), (1, (True, 0)), (2.0, (0, 1)),
+                           (True, (0, 1))):
+            with pytest.raises(TypeError, match="not an exact integer"):
+                SearchConfig(k=k, entry_set=entries)
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             SearchConfig(k=-1, entry_set=(0, 1))
@@ -355,7 +363,7 @@ class TestMemo:
         cfg = SearchConfig(k=2, entry_set=tuple(range(-3, 4)),
                            mode="random", seed=12, samples=400)
         full = evaluations(K, cfg)
-        monkeypatch.setattr(momentangle.search, "RANDOM_PALETTE_LIMIT", 20)
+        monkeypatch.setattr(momentangle.torus, "FREENESS_PALETTE_LIMIT", 20)
         assert evaluations(K, cfg) > full  # the palette did start over
         res = search_free(K, cfg)
         found, explored, complete = frozenset_search(K, cfg)
@@ -368,9 +376,44 @@ class TestMemo:
         # Two column lists with the same set of distinct columns share one
         # entry: the key is the set of their palette indices.
         comps = [(1, 2, 3)]
-        palette = [(1, 0), (0, 1), (1, 1), (2, 2)]
-        memo = {}
-        assert first_unfree(2, palette, [0, 1, 1], comps, memo) is None
-        assert first_unfree(2, palette, [1, 0, 0], comps, memo) is None
-        assert first_unfree(2, palette, [2, 3, 2], comps, memo) == 0
-        assert memo == {0b0011: True, 0b1100: False}
+        test = FreenessTest(2, [(1, 0), (0, 1), (1, 1), (2, 2)])
+        assert test.first_unfree([0, 1, 1], comps) is None
+        assert test.first_unfree([1, 0, 0], comps) is None
+        assert test.first_unfree([2, 3, 2], comps) == 0
+        assert test.memo == {0b0011: True, 0b1100: False}
+        assert test.code([(0, 1), (2, 2), (3, 0)]) == [1, 3, 4]
+
+    def test_first_unfree_matches_smith_oracle_across_restarts(self):
+        # One instance per k serves every example, and a low palette cap
+        # makes code() start palette and memo over mid-stream.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tests = {}
+        restarts = []
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(0, 3))
+            m = data.draw(st.integers(1, 7))
+            cols = data.draw(st.lists(
+                st.tuples(*[st.integers(-3, 3)] * k), min_size=m,
+                max_size=m))
+            comps = data.draw(st.lists(st.lists(
+                st.integers(1, m), unique=True).map(sorted), max_size=5))
+            test = tests.setdefault(k, FreenessTest(k))
+            old = list(test.palette)
+            codes = test.code(cols)
+            if test.palette[:len(old)] != old:
+                restarts.append(k)
+            assert [test.palette[c] for c in codes] == cols
+            assert test.first_unfree(codes, comps) == next(
+                (i for i, comp in enumerate(comps) if not smith_primitive(
+                    k, [cols[j - 1] for j in comp])), None)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(momentangle.torus, "FREENESS_PALETTE_LIMIT", 12)
+            check()
+        # k = 0 has the one column (), so only k >= 1 starts over.
+        assert set(restarts) == {1, 2, 3}

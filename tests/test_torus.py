@@ -10,15 +10,14 @@ from momentangle.intlinalg import (IntMatrix, InternalError, det,
                                    kernel_lattice, row_lattice_equal, smith)
 from momentangle.simplicial import (boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from momentangle.torus import (PreconditionError, Subtorus,
-                               acts_almost_freely, acts_freely,
-                               characteristic_duality_holds,
+from momentangle.torus import (FreenessTest, PreconditionError, Subtorus,
+                               acts_freely, characteristic_duality_holds,
                                cyclic69_free_subtorus,
                                cyclic69_quotient_matrix,
-                               extend_to_characteristic, first_unfree,
-                               free_codes,
+                               extend_to_characteristic,
                                is_rational_characteristic,
                                quotient_projection, torus_from_kernel)
+from oracles import acts_almost_freely
 
 
 def random_unimodular(rng, n):
@@ -124,14 +123,14 @@ class TestFreeness:
         comps = cyclic_polytope_boundary(6, 9).facet_complements()
         palette = list(product(range(-2, 3), repeat=2))
         rng = random.Random(8)
-        memo = {}
+        test = FreenessTest(2, palette)
         for _ in range(200):
             columns = [(rng.randint(-2, 2), rng.randint(-2, 2))
                        for _ in range(9)]
             codes = [palette.index(col) for col in columns]
-            assert (first_unfree(2, palette, codes, comps, memo)
-                    == first_unfree(2, palette, codes, comps))
-        assert len(memo) == 5
+            assert (test.first_unfree(codes, comps)
+                    == FreenessTest(2, palette).first_unfree(codes, comps))
+        assert len(test.memo) == 5
 
     @pytest.mark.parametrize("limit", [5, 1 << 16])
     def test_free_codes_agree_with_first_unfree(self, monkeypatch, limit):
@@ -145,16 +144,17 @@ class TestFreeness:
                      (boundary_of_simplex(2), 1)):
             comps = K.facet_complements()
             palette = list(product(range(-1, 3), repeat=k))
-            memo = {}
+            test = FreenessTest(k, palette)
             for _ in range(150):
                 depth = rng.randrange(K.m)
                 codes = [rng.randrange(len(palette)) for _ in range(depth)]
                 ending = [comp for comp in comps if comp[-1] == depth + 1]
                 heads = [comp[:-1] for comp in ending]
-                assert free_codes(k, palette, codes, heads, memo) == [
+                assert test.free_codes(codes, heads) == [
                     c for c in range(len(palette))
-                    if first_unfree(k, palette, codes + [c], ending) is None]
-            assert len(memo) <= limit
+                    if FreenessTest(k, palette).first_unfree(
+                        codes + [c], ending) is None]
+            assert len(test.memo) <= limit
 
 
 class TestAlmostFreeness:
