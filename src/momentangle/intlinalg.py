@@ -4,9 +4,10 @@ Everything here runs on Python's arbitrary-precision integers; no
 floating point is used anywhere.  The Smith normal form is the engine
 behind kernel lattices and cokernels; membership in a cokernel (is b in
 the image of A?) reads the cokernel's presentation, so one Smith form
-answers any number of such questions.  Primitivity, the question the
-subtorus search asks most, has its own test on a gcd-triangular basis,
-and the Hermite normal form also works on plain rows.
+answers any number of such questions.  The Hermite normal form, on
+plain rows, answers lattice equality and the search's keys, and it
+settles primitivity, the question the subtorus search asks most, where
+a Bareiss minor of +-1 does not.
 """
 
 from __future__ import annotations
@@ -328,19 +329,6 @@ def kernel_lattice(A):
     return IntMatrix(vt.data[r:], rows=A.cols - r, cols=A.cols)
 
 
-def _xgcd(a, b):
-    """(g, s, t) with s a + t b == g == gcd(a, b) > 0, for a > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        return -a, -s0, -t0
-    return a, s0, t0
-
-
 def is_primitive_cols(k, columns):
     """True iff the k-row matrix with these columns (each a length-k
     sequence) has rank k and all invariant factors 1, that is, iff the
@@ -349,48 +337,16 @@ def is_primitive_cols(k, columns):
     This is the one primitivity test of the package: the rows then span a
     direct summand, and the torus map the columns define is injective.
     Bareiss elimination gives the rank over Q and, at rank k, the nonzero
-    minor D on its pivot columns; D = +-1 answers True at once.  The
-    lattice L of the columns then contains D Z^k, so the columns are
-    folded one at a time, mod D, into a triangular basis of L seeded with
-    D e_1, ..., D e_k: basis[i] is zero above row i, and a column meets it
-    by extended gcd, a unimodular 2 x 2 step that keeps the lattice and
-    clears the column's entry i.  L is Z^k exactly when every diagonal
-    entry is 1, so the test returns True as soon as that holds and False
-    when the columns run out first.  Cost: O(k^2 m) integer operations
-    for k x m, on entries no larger than the minors of the matrix; no
-    Smith form is built.
+    minor on its pivot columns; a minor of +-1 answers True at once.
+    Otherwise the columns generate Z^k iff the Hermite normal form of
+    their lattice is I_k.  No Smith form is built.
     """
-    if k == 0:
-        return True
     columns = list(columns)
     rank, D = _bareiss(zip(*columns), len(columns))
     if rank < k:
         return False
-    D = abs(D)
-    if D == 1:
-        return True
-    basis = [[D if j == i else 0 for j in range(k)] for i in range(k)]
-    units = 0     # diagonal entries equal to 1
-    for col in columns:
-        v = [x % D for x in col]
-        for i in range(k):
-            a = v[i]
-            if not a:
-                continue
-            b = basis[i]
-            d = b[i]
-            if a % d == 0:
-                q = a // d
-                v = [(x - q * y) % D for x, y in zip(v, b)]
-                continue
-            g, s, t = _xgcd(d, a)
-            p, q = a // g, d // g
-            basis[i], v = ([(s * y + t * x) % D for x, y in zip(v, b)],
-                           [(p * y - q * x) % D for x, y in zip(v, b)])
-            units += g == 1
-        if units == k:
-            return True
-    return False
+    return D in (1, -1) or hermite_normal_form_rows(columns) == tuple(
+        tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def is_primitive_rows(A):
@@ -452,14 +408,33 @@ def cokernel(A):
         generator_images=IntMatrix(images, rows=len(kept), cols=A.rows))
 
 
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b == g == gcd(a, b) > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 def hermite_normal_form_rows(rows):
     """Row-style Hermite normal form of the lattice spanned by rows (a
     sequence of equal-length integer sequences), as a tuple of row tuples
     with zero rows dropped.
 
-    Canonical: pivots positive, entries above each pivot reduced into
-    [0, pivot).  Two integer matrices span the same row lattice iff their
-    HNFs are equal, which is how lattice equality and search dedup work.
+    Column by column, the first row with a nonzero entry becomes the
+    pivot row and every lower row with a nonzero entry is folded into it:
+    by a quotient step when the pivot divides the entry, else by one
+    unimodular 2 x 2 extended-gcd step that leaves the gcd in the pivot
+    row and 0 below it (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).  Canonical: pivots positive, entries above each pivot
+    reduced into [0, pivot).  Two integer matrices span the same row
+    lattice iff their HNFs are equal, which is how lattice equality,
+    search dedup and primitivity work.
     """
     H = [list(row) for row in rows]
     nrows = len(H)
@@ -468,30 +443,32 @@ def hermite_normal_form_rows(rows):
     for c in range(ncols):
         if r == nrows:
             break
-        while True:
-            nz = [i for i in range(r, nrows) if H[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: (abs(H[i][c]), i))
-            if piv != r:
-                H[r], H[piv] = H[piv], H[r]
-            done = True
-            for i in range(r + 1, nrows):
-                if H[i][c]:
-                    q = H[i][c] // H[r][c]
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    if H[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nrows and H[r][c]:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-            r += 1
+        piv = next((i for i in range(r, nrows) if H[i][c]), None)
+        if piv is None:
+            continue
+        H[r], H[piv] = H[piv], H[r]
+        P = H[r]
+        for i in range(r + 1, nrows):
+            b = H[i][c]
+            if not b:
+                continue
+            a = P[c]
+            if b % a == 0:
+                q = b // a
+                H[i] = [x - q * y for x, y in zip(H[i], P)]
+            else:
+                g, s, t = _xgcd(a, b)
+                p, q = a // g, b // g
+                P, H[i] = ([s * y + t * x for x, y in zip(H[i], P)],
+                           [p * x - q * y for x, y in zip(H[i], P)])
+        if P[c] < 0:
+            P = [-x for x in P]
+        H[r] = P
+        for i in range(r):
+            q = H[i][c] // P[c]
+            if q:
+                H[i] = [x - q * y for x, y in zip(H[i], P)]
+        r += 1
     return tuple(map(tuple, H[:r]))
 
 

@@ -54,7 +54,8 @@ class SearchConfig:
 
     def __post_init__(self):
         # Exact ints only: a float or a bool is an error, never rounded.
-        for x in (self.k, *self.entry_set):
+        for x in (self.k, self.samples, *self.entry_set,
+                  *(() if self.seed is None else (self.seed,))):
             if type(x) is not int:
                 raise TypeError(f"search value {x!r} is not an exact integer")
         if self.k < 0:
@@ -160,28 +161,27 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
 
     def leaf_key():
         """HNF of the rows of the complete candidate codes.  The HNF of
-        [A | I_k] is [HNF(A) | U] with HNF(A) = U A whenever the k-th
-        pivot is a column of A; U depends only on the columns up to that
-        pivot, so a later leaf with the same codes there reads its key
-        off the palette images under U."""
+        [A | I_k] is [HNF(A) | U] with HNF(A) = U A, since every leaf
+        passed a complement whose columns generate Z^k, so A has rank k
+        and the k-th pivot is a column of A.  U depends only on the
+        columns up to that pivot, so a later leaf with the same codes
+        there reads its key off the palette images under U."""
         if transform and codes[:len(transform[0])] == transform[0]:
             return tuple(tuple(map(images.__getitem__, codes))
                          for images in transform[1])
-        rows = [[palette[c][i] for c in codes] for i in range(k)]
-        if k:
-            H = hermite_normal_form_rows(
-                [row + unit for row, unit in zip(rows, identity)])
-            # U is unimodular, so H has k rows; row k - 1 starts at the
-            # k-th pivot.
-            pivot = next(j for j, x in enumerate(H[-1]) if x)
-            if pivot < m:
-                U = [row[m:] for row in H]
-                transform[:] = [
-                    codes[:pivot + 1],
-                    [[sum(u * x for u, x in zip(urow, col))
-                      for col in palette] for urow in U]]
-                return tuple(row[:m] for row in H)
-        return hermite_normal_form_rows(rows)
+        if not k:
+            return ()
+        H = hermite_normal_form_rows(
+            [[palette[c][i] for c in codes] + unit
+             for i, unit in enumerate(identity)])
+        # Row k - 1 starts at the k-th pivot.
+        pivot = next(j for j, x in enumerate(H[-1]) if x)
+        U = [row[m:] for row in H]
+        transform[:] = [
+            codes[:pivot + 1],
+            [[sum(u * x for u, x in zip(urow, col)) for col in palette]
+             for urow in U]]
+        return tuple(row[:m] for row in H)
 
     def dfs():
         # The codes so far passed every complement ending at their depth.

@@ -322,6 +322,22 @@ class TestPrimitive:
                 assert is_primitive_rows(A) == want, (k, cols)
                 answers.add(want)
             assert answers == {True, False}, (lo, hi)
+        # Rank k with a pivot minor that is not a unit: the HNF answers,
+        # both ways.
+        for cols, want in [([(2, 0), (0, 1), (1, 0)], True),
+                           ([(2, 0), (0, 1), (4, 0)], False),
+                           ([(2,), (3,)], True), ([(6,), (4,), (10,)], False),
+                           ([(2, 4), (1, 3), (0, 1)], True),
+                           ([(2, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)],
+                            False),
+                           ([(3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)],
+                            True)]:
+            k = len(cols[0])
+            A = IntMatrix([[c[i] for c in cols] for i in range(k)])
+            assert abs(det(IntMatrix(cols[:k]))) != 1, cols
+            assert self.smith_reference(A) == want, cols
+            assert is_primitive_cols(k, cols) == want, cols
+            assert is_primitive_rows(A) == want, cols
 
     def test_unimodular_columns_against_smith(self):
         # Columns of G @ [I | X] with G unimodular generate Z^k however
@@ -443,12 +459,22 @@ class TestHermite:
         sympy = pytest.importorskip("sympy")
         normalforms = pytest.importorskip("sympy.matrices.normalforms")
         rng = random.Random(2024)
-        for _ in range(300):
-            r, c = rng.randint(1, 5), rng.randint(1, 6)
-            e = rng.choice((1, 3, 50, 10 ** 6))
+        for n in range(450):
+            # The last 150 are tall, as primitivity uses them: up to 12
+            # rows of at most 4 columns, with zero and repeated rows.
+            tall = n >= 300
+            r = rng.randint(1, 12) if tall else rng.randint(1, 5)
+            c = rng.randint(1, 4) if tall else rng.randint(1, 6)
+            e = rng.choice((1, 3, 50, 10 ** 6, 10 ** 9) if tall
+                           else (1, 3, 50, 10 ** 6))
             rows = [[rng.randint(-e, e) for _ in range(c)] for _ in range(r)]
             if r > 1 and rng.random() < 0.3:
                 rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            if tall:
+                rows += [[0] * c] * rng.randint(0, 2)
+                rows += [list(rng.choice(rows))
+                         for _ in range(rng.randint(0, 3))]
+                rng.shuffle(rows)
             H = hermite_normal_form_rows(rows)
             assert hermite_normal_form(IntMatrix(rows)) == IntMatrix(
                 H, rows=len(H), cols=c)

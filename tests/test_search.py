@@ -226,6 +226,12 @@ class TestConfig:
                            (True, (0, 1))):
             with pytest.raises(TypeError, match="not an exact integer"):
                 SearchConfig(k=k, entry_set=entries)
+        # A float sample count failed inside range; a float or bool seed
+        # ran silently.
+        for seed, samples in ((1, 2.0), (1.5, 2), (True, 2)):
+            with pytest.raises(TypeError, match="not an exact integer"):
+                SearchConfig(k=1, entry_set=(0, 1), mode="random",
+                             seed=seed, samples=samples)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
