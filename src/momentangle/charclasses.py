@@ -154,11 +154,8 @@ class GradedMod2Ring:
                 raise ValueError(
                     f"not characteristic mod 2: facet {sigma} is singular")
 
-        self.K = K
-        self.m = K.m
         self.generator_degree = generator_degree
         self.top_algebraic = n
-        self.free_vars = basis
         # A product of two classes has degree at most 2n and a minimal
         # non-face at most n + 1 vertices; no exponent exceeds that.
         width = max(2 * n, n + 1).bit_length()

@@ -158,97 +158,88 @@ class SmithDecomposition:
         return len(self.invariant_factors)
 
 
-def smith(A):
-    """Smith normal form with tracked unimodular transforms.
+def _diagonalize(B, n, m):
+    """Bring rows 0..n-1 x columns 0..m-1 of the tableau B, a list of row
+    lists, to Smith normal form in place; return the rank.
 
     Pivot rule: smallest nonzero absolute value, ties broken by lowest
-    (row, col) — fixed so that golden tests are deterministic.
+    (row, col), so that golden tests are deterministic.  Every row step
+    acts on a whole row of B and every column step on a whole column, so
+    the blocks beyond n and m ride along and record the transforms.
     """
-    n, m = A.rows, A.cols
-    S = [list(row) for row in A.data]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
     def swap_cols(i, j):
-        for row in S:
+        for row in B:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row_dst += q * row_src
-        sd, ss = S[dst], S[src]
-        for c in range(m):
-            sd[c] += q * ss[c]
-        ud, us = U[dst], U[src]
-        for c in range(n):
-            ud[c] += q * us[c]
-
-    def add_col(dst, src, q):  # col_dst += q * col_src
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
 
     t = 0
     while True:
         best = None
         for i in range(t, n):
+            row = B[i]
             for j in range(t, m):
-                v = abs(S[i][j])
+                v = abs(row[j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
         if best is None:
-            break
+            return t
         _, pi, pj = best
-        if pi != t:
-            swap_rows(t, pi)
+        B[t], B[pi] = B[pi], B[t]
         if pj != t:
             swap_cols(t, pj)
         while True:
             dirty = False
             for i in range(n):
-                if i != t and S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
+                if i != t and B[i][t]:
+                    P = B[t]
+                    q = B[i][t] // P[t]
+                    B[i] = R = [x - q * y for x, y in zip(B[i], P)]
+                    if R[t]:
+                        B[t], B[i] = R, P
                         dirty = True
             if dirty:
                 continue
             for j in range(m):
-                if j != t and S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j]:
+                if j != t and B[t][j]:
+                    q = B[t][j] // B[t][t]
+                    for row in B:
+                        row[j] -= q * row[t]
+                    if B[t][j]:
                         swap_cols(t, j)
                         dirty = True
             if dirty:
                 continue
             # Row and column t are clear; force the pivot to divide the rest.
-            p = S[t][t]
+            p = B[t][t]
             bad = None
             for i in range(t + 1, n):
-                if any(S[i][j] % p for j in range(t + 1, m)):
+                if any(B[i][j] % p for j in range(t + 1, m)):
                     bad = i
                     break
             if bad is None:
                 break
-            add_row(t, bad, 1)
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
+            B[t] = [x + y for x, y in zip(B[t], B[bad])]
+        if B[t][t] < 0:
+            B[t] = [-x for x in B[t]]
         t += 1
 
-    factors = tuple(S[i][i] for i in range(t))
+
+def smith(A):
+    """Smith normal form with tracked unimodular transforms.
+
+    One tableau [[A, I_n], [I_m, 0]] is diagonalized on its A block
+    (_diagonalize), which leaves [[S, U], [V, 0]].
+    """
+    n, m = A.rows, A.cols
+    B = [list(row) + [0] * n for row in A.data]
+    B += [[0] * (m + n) for _ in range(m)]
+    for i, row in enumerate(B):  # I_n to the right of A, I_m below it
+        row[(m + i) % (m + n)] = 1
+    rank = _diagonalize(B, n, m)
     return SmithDecomposition(
-        U=IntMatrix(U, rows=n, cols=n),
-        S=IntMatrix(S, rows=n, cols=m),
-        V=IntMatrix(V, rows=m, cols=m),
-        invariant_factors=factors)
+        U=IntMatrix([row[m:] for row in B[:n]], rows=n, cols=n),
+        S=IntMatrix([row[:m] for row in B[:n]], rows=n, cols=m),
+        V=IntMatrix([row[:m] for row in B[n:]], rows=m, cols=m),
+        invariant_factors=tuple(B[i][i] for i in range(rank)))
 
 
 def sparse_invariant_factors(columns):
@@ -257,9 +248,9 @@ def sparse_invariant_factors(columns):
     Each column is a {row: entry} dict with no zero entries; the input is
     not modified.  Pivots of absolute value 1 are eliminated sparsely,
     always from a shortest column that holds one, which keeps fill-in
-    low; each adds one factor 1.  Dense smith finishes the block that is
-    left.  The Smith normal form is unique, so the result equals
-    smith(A).invariant_factors.
+    low; each adds one factor 1.  The dense block that is left is
+    diagonalized on its own, with no transforms.  The Smith normal form
+    is unique, so the result equals smith(A).invariant_factors.
     """
     cols = [dict(col) for col in columns]
     in_row = {}     # row -> ids of the columns with an entry in that row
@@ -313,8 +304,8 @@ def sparse_invariant_factors(columns):
         return (1,) * units
     rows = sorted(set().union(*left))
     dense = [[col.get(i, 0) for col in left] for i in rows]
-    return (1,) * units + smith(IntMatrix(dense, rows=len(rows),
-                                          cols=len(left))).invariant_factors
+    rank = _diagonalize(dense, len(rows), len(left))
+    return (1,) * units + tuple(dense[i][i] for i in range(rank))
 
 
 def kernel_lattice(A):
@@ -383,10 +374,6 @@ class AbelianGroupPresentation:
             if (c % self.torsion[i] if i < t else c) != 0:
                 return False
         return True
-
-    def to_json(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion),
-                "generator_images": self.generator_images.to_json()}
 
 
 def cokernel(A):

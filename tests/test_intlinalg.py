@@ -15,6 +15,7 @@ from momentangle.intlinalg import (IntMatrix, cokernel, det,
                                    rank_mod2, rank_rational,
                                    row_lattice_equal, rref_mod2, smith,
                                    sparse_invariant_factors)
+from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
 from oracles import image_contains, zero_matrix
 
 
@@ -57,6 +58,55 @@ class TestSmith:
         sd = smith(zero_matrix(2, 3))
         assert sd.invariant_factors == ()
         assert sd.U @ zero_matrix(2, 3) @ sd.V == sd.S
+
+    def test_golden_transforms(self):
+        # The exact U, S and V of the fixed pivot rule: the quotient-h2
+        # images and the extend-char kernels are read off them.  [[2, 0],
+        # [0, 3]] reaches the divisibility fix-up; the next case starts on
+        # a negative pivot.
+        Q = cyclic69_quotient_matrix()
+        cases = [
+            (Q,
+             [[-1, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0],
+              [1, 0, -1, 0, 0, 0, 0], [0, 1, 0, -1, 0, 0, 0],
+              [0, 0, 1, 0, -1, 0, 0], [0, 0, 0, 1, 0, -1, 0],
+              [0, 0, 0, 0, 1, 1, -1]],
+             [[int(i == j) for j in range(9)] for i in range(7)],
+             [[1, 0, 1, 0, 1, 0, 1, -1, 1], [0, 1, 0, 1, 0, 1, 0, 1, 0],
+              [0, 0, 1, 0, 1, 0, 1, -1, 1], [0, 0, 0, 1, 0, 1, 0, 1, 0],
+              [0, 0, 0, 0, 1, 0, 1, -1, 1], [0, 0, 0, 0, 0, 1, 0, 1, 0],
+              [0, 0, 0, 0, 0, 0, 1, -1, 1], [0, 0, 0, 0, 0, 0, 0, 1, 0],
+              [0, 0, 0, 0, 0, 0, 0, 0, 1]]),
+            (Q.transpose(),
+             [[-1, 0, 0, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0, 0, 0],
+              [-1, 0, -1, 0, 0, 0, 0, 0, 0], [0, -1, 0, -1, 0, 0, 0, 0, 0],
+              [-1, 0, -1, 0, -1, 0, 0, 0, 0], [0, -1, 0, -1, 0, -1, 0, 0, 0],
+              [-1, 0, -1, 0, -1, 0, -1, 0, 0], [-1, 1, -1, 1, -1, 1, -1, 1, 0],
+              [1, 0, 1, 0, 1, 0, 1, 0, 1]],
+             [[int(i == j) for j in range(7)] for i in range(9)],
+             [[1, 0, -1, 0, 0, 0, 0], [0, 1, 0, -1, 0, 0, 0],
+              [0, 0, 1, 0, -1, 0, 0], [0, 0, 0, 1, 0, -1, 0],
+              [0, 0, 0, 0, 1, 0, -1], [0, 0, 0, 0, 0, 1, -1],
+              [0, 0, 0, 0, 0, 0, 1]]),
+            (cyclic69_free_subtorus().matrix,
+             [[1, 0], [0, 1]],
+             [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0]],
+             [[1, 0, -1, 0, -1, 0, -1, 0, -1], [0, 1, 0, -1, 0, -1, 0, -1, -1]]
+             + [[int(i == j) for j in range(9)] for i in range(2, 9)]),
+            (IntMatrix([[2, 0], [0, 3]]),
+             [[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+            (IntMatrix([[-2, 4], [6, -9]]),
+             [[-4, -1], [-15, -4]], [[1, 0], [0, 6]], [[4, -7], [1, -2]]),
+            (IntMatrix([], rows=0, cols=3),
+             [], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            (IntMatrix([[], [], []], rows=3, cols=0),
+             [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[], [], []], []),
+        ]
+        for A, U, S, V in cases:
+            sd = smith(A)
+            assert sd.U == IntMatrix(U, rows=A.rows, cols=A.rows), A
+            assert sd.S == IntMatrix(S, rows=A.rows, cols=A.cols), A
+            assert sd.V == IntMatrix(V, rows=A.cols, cols=A.cols), A
 
     def test_properties_random(self):
         rng = random.Random(20260824)
