@@ -147,14 +147,16 @@ class SphereCertificate:
     # part of the JSON.
     settled_by: dict = field(default_factory=dict, compare=False,
                              repr=False)
+    # _key_str of every key of the table; not part of the JSON.
+    names: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __bool__(self):
         return self.verdict
 
     def to_json(self):
         return {"verdict": self.verdict, "criterion": self.criterion,
-                "root": _key_str(self.root),
-                "complexes": {_key_str(k): v
+                "root": self.names[self.root],
+                "complexes": {self.names[k]: v
                               for k, v in self.complexes.items()}}
 
 
@@ -190,28 +192,17 @@ def _dimension(masks):
     return max(map(int.bit_count, masks), default=0) - 1
 
 
-def _collapses_off_a_facet(masks):
-    """True when the complex with these nonempty facet bitmasks, less the
-    interior of one top-dimensional facet D, collapses to a single vertex.
-
-    Then K - D is contractible, and K is K - D with one cell attached
-    along the boundary of D, so K is homotopy equivalent to the sphere of
-    its dimension (Whitehead).  The collapse is greedy, from a stack of
-    free faces: a free face has exactly one live codimension-one coface,
-    which is then maximal, and the pair is removed.  Each live face keeps
-    the count and the xor of its live codimension-one cofaces, so the xor
-    of a free face is its coface.  False proves nothing: a greedy
-    collapse can get stuck.
-    """
-    # Faces top down from the facets, which have no cofaces: a face joins
-    # todo when first reached from a coface, so each is expanded once.
-    count = dict.fromkeys(masks, 0)  # live face -> live cofaces
-    xor = dict.fromkeys(masks, 0)    # live face -> xor of live cofaces
-    below = {}                       # face -> its codimension-one faces
+def _face_poset(masks):
+    """count and xor of each nonempty face of the complex with these facet
+    bitmasks: its number of codimension-one cofaces, and their xor.  Faces
+    top down from the facets, which have no cofaces and come first in
+    masks order: a face joins todo when first reached from a coface, so
+    each is expanded once."""
+    count = dict.fromkeys(masks, 0)
+    xor = dict.fromkeys(masks, 0)
     todo = list(masks)
     while todo:
         face = todo.pop()
-        subs = below[face] = []
         if not face & (face - 1):
             continue  # a vertex: the empty face is not in the complex
         rest = face
@@ -219,7 +210,6 @@ def _collapses_off_a_facet(masks):
             bit = rest & -rest
             rest ^= bit
             sub = face ^ bit
-            subs.append(sub)
             if sub in count:
                 count[sub] += 1
                 xor[sub] ^= face
@@ -227,9 +217,30 @@ def _collapses_off_a_facet(masks):
                 count[sub] = 1
                 xor[sub] = face
                 todo.append(sub)
-    top = max(masks, key=int.bit_count)
+    return count, xor
+
+
+def _collapses_off_a_facet(faces, removed, count, xor):
+    """True when L = lk_S K, less the interior of one top-dimensional facet
+    D, collapses to a single vertex.  S is the mask removed, count and xor
+    are _face_poset of K, and faces lists each face of L, facets first, as
+    its union with S: its cofaces in L are its cofaces in K, so K's tables
+    hold for it, and its faces drop one bit not in S.
+
+    Then L - D is contractible, and L is L - D with one cell attached
+    along the boundary of D, so L is homotopy equivalent to the sphere of
+    its dimension (Whitehead).  The collapse is greedy, from a stack of
+    free faces: a free face has exactly one live codimension-one coface,
+    which is then maximal, and the pair is removed.  Each live face keeps
+    the count and xor of its live codimension-one cofaces, so the xor of
+    a free face is its coface.  False proves nothing: a greedy collapse
+    can get stuck."""
+    count = {face: count[face] for face in faces}
+    xor = {face: xor[face] for face in faces}
+    top = max(faces, key=int.bit_count)
     del count[top]
-    for sub in below[top]:
+    # S, the empty face of L, is no face here.
+    for sub in count.keys() & {top ^ bit for bit in _bits(top & ~removed)}:
         count[sub] -= 1
         xor[sub] ^= top
     free = [face for face, n in count.items() if n == 1]
@@ -239,7 +250,13 @@ def _collapses_off_a_facet(masks):
             continue  # collapsed already, or no longer free
         for gone in (xor[face], face):
             del count[gone]
-            for sub in below[gone]:
+            rest = gone & ~removed
+            if not rest & (rest - 1):
+                continue  # a vertex of the link: no faces below
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                sub = gone ^ bit
                 n = count[sub] - 1
                 count[sub] = n
                 xor[sub] ^= gone
@@ -253,18 +270,21 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
 
     Each complex is its facet bitmasks in K's labels, and a vertex link
     is taken on the masks.  Its homology condition is settled by
-    _collapses_off_a_facet when that succeeds, and by _homology on the
-    masks only otherwise.
+    _collapses_off_a_facet on K's face poset when that succeeds, and by
+    _homology on the masks only otherwise.
     """
     memo, table = {}, {}
     names = {}  # key -> _key_str(key), since links recur across parents
+    visited = {}  # vertex set S -> (name of lk_S K, whether it passed)
     settled = {"collapse": 0, "homology": 0}
     stuck = {}  # key -> homology of a complex whose collapse got stuck
+    masks = [_bitmask(f) for f in K.facets]
+    count, xor = _face_poset(masks)
 
-    def check(masks, removed, key):
-        """Certify the complex with facet bitmasks masks and canonical key
-        key, whose vertices are K's less the mask removed.  A link has a
-        lower dimension than its parent, so key never recurs below."""
+    def check(masks, faces, removed, key):
+        """Certify lk_S K, S = removed, from its masks, its canonical key
+        and its parent's faces, as in _collapses_off_a_facet.  A link has
+        a lower dimension than its parent, so key never recurs below."""
         if key in memo:
             return memo[key]
         dim = _dimension(masks)
@@ -274,7 +294,8 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
             table[key] = {"dim": -1, "homology_matches_sphere": True,
                           "vertex_links": {}}
             return True
-        if _collapses_off_a_facet(masks):
+        faces = [f for f in faces if f & removed == removed and f != removed]
+        if _collapses_off_a_facet(faces, removed, count, xor):
             settled["collapse"] += 1
             hom_ok = True
         else:
@@ -288,17 +309,21 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
             for f in masks:
                 supp |= f
             for bit in _bits(supp):
-                link = [f ^ bit for f in masks if f & bit and f != bit]
-                link_key = _canonical_key(link)
+                # lk_S K and dim are the same from every parent: take it once.
+                sub = removed | bit
+                if sub not in visited:
+                    link = [f ^ bit for f in masks if f & bit and f != bit]
+                    link_key = _canonical_key(link)
+                    if link_key not in names:
+                        names[link_key] = _key_str(link_key)
+                    visited[sub] = names[link_key], (
+                        _dimension(link) == dim - 1
+                        and check(link, faces, sub, link_key))
                 # K's vertices less the removed ones are numbered 1, 2, ...
                 # in order, so bit's label is K's less the removed below it.
                 label = bit.bit_length() - (removed & (bit - 1)).bit_count()
-                name = names.get(link_key)
-                if name is None:
-                    name = names[link_key] = _key_str(link_key)
-                links[label] = name
-                if (_dimension(link) != dim - 1
-                        or not check(link, removed | bit, link_key)):
+                links[label], passed = visited[sub]
+                if not passed:
                     ok = False
                     break
         memo[key] = ok
@@ -306,11 +331,11 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
                       "vertex_links": links}
         return ok
 
-    masks = [_bitmask(f) for f in K.facets]
     root = _canonical_key(masks)
-    verdict = check(masks, 0, root)
+    names[root] = _key_str(root)
+    verdict = check(masks, count, 0, root)
+    del check  # the closure refers to itself: free its tables on return
     # A root that collapsed is homotopy equivalent to the sphere.
     prof = stuck.get(root) or _sphere_homology(K.dimension)
     return SphereCertificate(verdict=verdict, root=root, complexes=table,
-                             homology=prof, settled_by=settled)
-
+                             homology=prof, settled_by=settled, names=names)

@@ -11,4 +11,5 @@ def no_collapse(monkeypatch):
     complex's homology condition falls back to homology, as it did before
     the certificate tried collapses."""
     hmod = sys.modules["momentangle.homology"]
-    monkeypatch.setattr(hmod, "_collapses_off_a_facet", lambda masks: False)
+    monkeypatch.setattr(hmod, "_collapses_off_a_facet",
+                        lambda faces, removed, count, xor: False)

@@ -119,8 +119,8 @@ class TestCheckManifold:
             calls.append(None)
             return real_homology(masks, reduced)
 
-        def collapse(masks):
-            collapsed = real_collapse(masks)
+        def collapse(faces, removed, count, xor):
+            collapsed = real_collapse(faces, removed, count, xor)
             collapses.append(None)
             if not collapsed:
                 stuck.append(None)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -11,7 +12,8 @@ import momentangle
 from momentangle.homology import (InternalError, SphereCertificate,
                                   _boundary_columns,
                                   _check_boundary_squared_zero,
-                                  _collapses_off_a_facet, _key_str,
+                                  _collapses_off_a_facet, _face_poset,
+                                  _key_str,
                                   homology, is_homology_sphere)
 from momentangle.intlinalg import IntMatrix, rank_mod2, smith
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
@@ -119,6 +121,12 @@ def masks_of(K):
     return [_bitmask(f) for f in K.facets]
 
 
+def collapses(K):
+    """_collapses_off_a_facet of K itself, on K's face poset."""
+    count, xor = _face_poset(masks_of(K))
+    return _collapses_off_a_facet(list(count), 0, count, xor)
+
+
 def matches_sphere(K):
     prof = homology(K)
     return (prof.betti == tuple(int(d == K.dimension)
@@ -126,18 +134,24 @@ def matches_sphere(K):
             and not any(prof.torsion))
 
 
-def reference_certificate(K):
+def reference_certificate(K, reached=None):
     """The certificate as the recursion built it on SimplicialComplex
     objects: links by oracles.link, keys from the relabeled support, and
-    homology for the homology condition of every complex."""
-    memo, table = {}, {}
+    homology for the homology condition of every complex.  Each vertex
+    set S of K whose link a parent takes is added to reached, as a
+    frozenset of K's labels."""
+    memo, table, names = {}, {}, {}
+    reached = set() if reached is None else reached
 
     def key_of(L):
         relabel = {v: i + 1 for i, v in enumerate(support(L))}
-        return (len(relabel), tuple(sorted(tuple(relabel[v] for v in f)
-                                           for f in L.facets)))
+        key = (len(relabel), tuple(sorted(tuple(relabel[v] for v in f)
+                                          for f in L.facets)))
+        names[key] = _key_str(key)
+        return key
 
-    def check(L, key):
+    def check(L, key, S, labels):
+        # labels[i] is K's label of L's vertex i + 1, and L = lk_S K.
         if key in memo:
             return memo[key]
         memo[key] = False
@@ -152,10 +166,14 @@ def reference_certificate(K):
         ok = hom_ok
         if hom_ok:
             for v in support(L):
-                lk, _ = link(L, (v,))
+                lk, lk_labels = link(L, (v,))
                 link_key = key_of(lk)
-                links[v] = _key_str(link_key)
-                if lk.dimension != dim - 1 or not check(lk, link_key):
+                links[v] = names[link_key]
+                T = S | {labels[v - 1]}
+                reached.add(T)
+                if lk.dimension != dim - 1 or not check(
+                        lk, link_key, T,
+                        tuple(labels[u - 1] for u in lk_labels)):
                     ok = False
                     break
         memo[key] = ok
@@ -164,8 +182,40 @@ def reference_certificate(K):
         return ok
 
     root = key_of(K)
-    return SphereCertificate(verdict=check(K, root), root=root,
-                             complexes=table)
+    verdict = check(K, root, frozenset(), tuple(range(1, K.m + 1)))
+    return SphereCertificate(verdict=verdict, root=root, complexes=table,
+                             names=names)
+
+
+def count_keys_and_names(monkeypatch, calls):
+    """Count the certificate's _canonical_key calls in calls["key"] and
+    its _key_str calls in calls["name"]."""
+    hmod = sys.modules["momentangle.homology"]
+    real_key, real_name = hmod._canonical_key, hmod._key_str
+
+    def key(masks):
+        calls["key"] += 1
+        return real_key(masks)
+
+    def name(key):
+        calls["name"] += 1
+        return real_name(key)
+
+    monkeypatch.setattr(hmod, "_canonical_key", key)
+    monkeypatch.setattr(hmod, "_key_str", name)
+
+
+def assert_keyed_and_named_once(cert, calls, reached):
+    """The root and the link of each vertex set in reached were keyed
+    once, however many parents took that link; each distinct key was
+    named once, and to_json names none again."""
+    assert calls["key"] == 1 + len(reached)
+    named = calls["name"]
+    obj = cert.to_json()
+    assert calls["name"] == named
+    assert named == len({obj["root"]} | {
+        name for c in obj["complexes"].values()
+        for name in c["vertex_links"].values()})
 
 
 class TestChainComplex:
@@ -343,53 +393,46 @@ class TestSphereCertificate:
     def test_each_complex_keyed_and_measured_once(self, monkeypatch,
                                                   no_collapse):
         hmod = sys.modules["momentangle.homology"]
-        calls = {"key": 0, "homology": 0}
-        real_key, real_homology = hmod._canonical_key, hmod._homology
-
-        def key(K):
-            calls["key"] += 1
-            return real_key(K)
+        calls = dict.fromkeys(("key", "name", "homology"), 0)
+        count_keys_and_names(monkeypatch, calls)
+        real_homology = hmod._homology
 
         def counted_homology(masks, reduced):
             calls["homology"] += 1
             return real_homology(masks, reduced)
 
-        monkeypatch.setattr(hmod, "_canonical_key", key)
         monkeypatch.setattr(hmod, "_homology", counted_homology)
         for K in (cyclic_polytope_boundary(6, 9), RP2,
                   new_complex(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4),
                                   (2, 3, 4)])):
-            calls.update(key=0, homology=0)
+            reached = set()
+            reference_certificate(K, reached)
+            calls.update(key=0, name=0, homology=0)
             cert = is_homology_sphere(K)
             table = cert.complexes.values()
-            # The root key, then one key per link a parent computes.
-            assert calls["key"] == 1 + sum(len(c["vertex_links"])
-                                           for c in table)
+            assert_keyed_and_named_once(cert, calls, reached)
             assert calls["homology"] == sum(1 for c in table
                                             if c["dim"] >= 0)
             assert cert.homology == homology(K)
 
     def test_homology_only_for_stuck_collapses(self, monkeypatch):
         hmod = sys.modules["momentangle.homology"]
-        calls = dict.fromkeys(("key", "homology", "collapse", "stuck"), 0)
-        real_key, real_homology = hmod._canonical_key, hmod._homology
+        calls = dict.fromkeys(("key", "name", "homology", "collapse",
+                               "stuck"), 0)
+        count_keys_and_names(monkeypatch, calls)
+        real_homology = hmod._homology
         real_collapse = hmod._collapses_off_a_facet
-
-        def key(masks):
-            calls["key"] += 1
-            return real_key(masks)
 
         def counted_homology(masks, reduced):
             calls["homology"] += 1
             return real_homology(masks, reduced)
 
-        def collapse(masks):
+        def collapse(faces, removed, count, xor):
             calls["collapse"] += 1
-            collapsed = real_collapse(masks)
+            collapsed = real_collapse(faces, removed, count, xor)
             calls["stuck"] += not collapsed
             return collapsed
 
-        monkeypatch.setattr(hmod, "_canonical_key", key)
         monkeypatch.setattr(hmod, "_homology", counted_homology)
         monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
         # RP^2's own collapse gets stuck; FIN's root collapses, but the
@@ -398,12 +441,12 @@ class TestSphereCertificate:
                          (FIN, 1), (new_complex(5, [(1, 2, 3), (1, 2, 4),
                                                     (1, 3, 4), (2, 3, 4)]),
                                     0)):
-            calls.update(key=0, homology=0, collapse=0, stuck=0)
+            reached = set()
+            reference_certificate(K, reached)
+            calls.update(key=0, name=0, homology=0, collapse=0, stuck=0)
             cert = is_homology_sphere(K)
             table = cert.complexes.values()
-            # The root key, then one key per link a parent computes.
-            assert calls["key"] == 1 + sum(len(c["vertex_links"])
-                                           for c in table)
+            assert_keyed_and_named_once(cert, calls, reached)
             # Homology for each collapse that got stuck; every other
             # nonempty complex, the root included, is settled by its
             # collapse.
@@ -415,6 +458,28 @@ class TestSphereCertificate:
                 "collapse": calls["collapse"] - calls["stuck"],
                 "homology": calls["homology"]}
             assert cert.homology == homology(K)
+
+    def test_collapses_settle_cyclic_spheres(self):
+        # The greedy's outcome, pinned: a change of its stack order that
+        # gets stuck more often shows here, not only in the time.
+        for n, m, size in ((6, 10, 60), (8, 12, 220), (4, 12, 18)):
+            cert = is_homology_sphere(cyclic_polytope_boundary(n, m))
+            assert len(cert.complexes) == size
+            assert cert.settled_by == {"collapse": size - 1, "homology": 0}
+
+    def test_certificate_leaves_no_garbage(self):
+        # The recursion's tables, K's face poset among them, are freed on
+        # return, not left in a cycle for the collector; RP^2 takes the
+        # homology fallback.
+        for K in (cyclic_polytope_boundary(6, 10), RP2):
+            gc.collect()
+            gc.disable()
+            try:
+                cert = is_homology_sphere(K)
+                assert gc.collect() == 0, K
+            finally:
+                gc.enable()
+            assert cert.complexes
 
     def test_matches_reference_recursion(self):
         # Same JSON, byte for byte, as the recursion on SimplicialComplex
@@ -475,11 +540,32 @@ class TestCollapse:
         complexes += links + [suspension(L) for L in links[::4]]
         collapsed = 0
         for K in complexes:
-            if _collapses_off_a_facet(masks_of(K)):
+            if collapses(K):
                 collapsed += 1
                 assert matches_sphere(K), K
         # Every link and suspension of one is a sphere that collapses.
         assert collapsed >= len(links) + len(links[::4])
+
+    def test_link_collapse_on_k_tables_implies_sphere_homology(self):
+        # The certificate collapses lk_S K on K's face poset, with each
+        # face held as its union with S.  For every face S of K, a success
+        # there must mean that lk_S K has the homology of a sphere.
+        rng = random.Random(2014)
+        spheres = [relabelled(cyclic_polytope_boundary(n, m), rng)
+                   for n, m in ((3, 7), (4, 7), (5, 8), (6, 9))]
+        others = [suspension(spheres[1]), suspension(RP2), cone(spheres[0]),
+                  cone(RP2), RP2, TORUS_7]
+        for K in spheres + others:
+            count, xor = _face_poset(masks_of(K))
+            collapsed = 0
+            for S in count:
+                faces = [f for f in count if f & S == S and f != S]
+                if faces and _collapses_off_a_facet(faces, S, count, xor):
+                    collapsed += 1
+                    lk, _ = link(K, [v for v in range(1, K.m + 1)
+                                     if S >> (v - 1) & 1])
+                    assert matches_sphere(lk), (K, S)
+            assert collapsed, K
 
     def test_non_spheres_never_collapse(self):
         rng = random.Random(1998)
@@ -489,14 +575,13 @@ class TestCollapse:
         cones = [cone(K) for K in links + [boundary_of_simplex(2), RP2,
                                             TORUS_7, suspension(links[0])]]
         for K in [RP2, TORUS_7, SUSP_RP2] + cones:
-            assert not _collapses_off_a_facet(masks_of(K)), K
+            assert not collapses(K), K
 
     def test_edge_cases(self):
         # Two points are S^0: removing one leaves a single vertex.
-        assert _collapses_off_a_facet(masks_of(new_complex(2, [(1,), (2,)])))
+        assert collapses(new_complex(2, [(1,), (2,)]))
         # One vertex less itself is empty, not a vertex.
-        assert not _collapses_off_a_facet(masks_of(new_complex(1, [(1,)])))
-        assert not _collapses_off_a_facet(
-            masks_of(new_complex(3, [(1,), (2,), (3,)])))
-        assert _collapses_off_a_facet(masks_of(boundary_of_simplex(2)))
-        assert not _collapses_off_a_facet(masks_of(new_complex(2, [(1, 2)])))
+        assert not collapses(new_complex(1, [(1,)]))
+        assert not collapses(new_complex(3, [(1,), (2,), (3,)]))
+        assert collapses(boundary_of_simplex(2))
+        assert not collapses(new_complex(2, [(1, 2)]))
