@@ -6,9 +6,9 @@ the row space of theta mod 2, from one reduction (_generator_classes):
 * H^2 and w_2 of a partial quotient, straight from the quotient-projection
   matrix: H^2 is the integer cokernel of its transpose, and w_2 is the
   class of v_1 + ... + v_m in the mod-2 cokernel.  Only H^2/w_2 are
-  computed for partial quotients; w_1 is reported as 0 and the
-  simple-connectivity of the ambient moment-angle manifold is an input
-  assumption, both stated explicitly in every report.
+  computed; w_1 is reported as 0, and the ambient moment-angle manifold
+  is assumed simply connected.  Only verify-example states both; the
+  quotient-h2 report names the ambient assumption, the w2 report neither.
 
 * The graded mod-2 face ring of a full quotient (quasitoric manifold for
   generator degree 2, small cover for degree 1), with the total
@@ -27,6 +27,7 @@ per pivot bit set in its input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .intlinalg import (AbelianGroupPresentation, IntMatrix, cokernel,
@@ -203,7 +204,11 @@ class GradedMod2Ring:
         # Largest degree with a nonzero graded piece.
         self.top = max((t for t, table in enumerate(self._tables)
                         if table[4]), default=0)
-        self._sw_cache = None
+
+    @cached_property
+    def _sw_pieces(self):
+        """The total class, expanded once per ring."""
+        return _expand_total_class(self)
 
     # -- degree-wise linear algebra -------------------------------------
 
@@ -293,25 +298,18 @@ def _expand_total_class(R: GradedMod2Ring):
     return tuple(parts.get(j, frozenset()) for j in range(R.top + 1))
 
 
-def _sw_pieces(R: GradedMod2Ring):
-    """The total class of R, expanded once per ring and kept on it."""
-    if R._sw_cache is None:
-        R._sw_cache = _expand_total_class(R)
-    return R._sw_cache
-
-
 def total_sw_class(R: GradedMod2Ring):
     """Total Stiefel-Whitney class prod_i (1 + v_i) as a list of
     Mod2Class, indexed by algebraic degree 0..top (real degree is the
     algebraic degree times the generator degree)."""
     return [Mod2Class(f"graded face ring, degree {j * R.generator_degree}",
                       R.coords(poly, j))
-            for j, poly in enumerate(_sw_pieces(R))]
+            for j, poly in enumerate(R._sw_pieces)]
 
 
 def sw_triviality(R: GradedMod2Ring) -> bool:
     """All positive-degree Stiefel-Whitney classes vanish."""
-    return not any(_sw_pieces(R)[1:])
+    return not any(R._sw_pieces[1:])
 
 
 def sw_numbers(R: GradedMod2Ring):
@@ -321,7 +319,7 @@ def sw_numbers(R: GradedMod2Ring):
     if R.dim(R.top) != 1:
         raise ValueError("no fundamental class: top degree dimension "
                          f"is {R.dim(R.top)}")
-    pieces = _sw_pieces(R)
+    pieces = R._sw_pieces
     out = {}
 
     # Depth-first over partitions with non-increasing parts, carrying

@@ -12,8 +12,8 @@ bitmasks, and its homology condition is discharged by a collapse first:
 if the complex less one top-dimensional facet collapses to a vertex, the
 complex is homotopy equivalent to a sphere (Whitehead; greedy collapses
 as in Benedetti and Lutz, Exp. Math. 2014).  A failed collapse proves
-nothing, so only then is the homology computed on the masks, with its
-d o d check, as the fallback.
+nothing, so only then is the homology computed on the link's faces, with
+its d o d check, as the fallback.
 """
 
 from __future__ import annotations
@@ -38,29 +38,24 @@ def _check_boundary_squared_zero(lower, upper):
                 f"boundary of boundary is nonzero (column {j})")
 
 
-def _boundary_columns(masks):
-    """Boundary maps d=0..dim of the complex with these facet bitmasks, as
-    sparse columns, one {row: +-1} dict per d-face; the faces of a layer
-    in ascending mask order, and dropping the i-th lowest vertex carries
-    (-1)^i.  d=0 is the augmentation.  Checks d o d = 0 on every pair."""
-    layers = [set() for _ in range(_dimension(masks) + 1)]
-    for f in masks:
-        layers[f.bit_count() - 1].add(f)
-    for d in range(len(layers) - 1, 0, -1):
-        below = layers[d - 1]
-        for face in layers[d]:
-            for bit in _bits(face):
-                below.add(face ^ bit)
+def _boundary_columns(faces):
+    """Boundary maps d=0..dim of the complex with these nonempty face
+    masks, as sparse columns, one {row: +-1} dict per d-face; the faces of
+    a layer in ascending mask order, and dropping the i-th lowest vertex
+    carries (-1)^i.  d=0 is the augmentation.  Checks d o d = 0."""
+    layers = [[] for _ in range(_dimension(faces) + 1)]
+    for f in faces:
+        layers[f.bit_count() - 1].append(f)
     boundaries = []
     index_below = {0: 0}
     for layer in layers:
-        faces = sorted(layer)
+        layer.sort()
         cols = [{index_below[face ^ bit]: -1 if i & 1 else 1
-                 for i, bit in enumerate(_bits(face))} for face in faces]
+                 for i, bit in enumerate(_bits(face))} for face in layer]
         if boundaries:
             _check_boundary_squared_zero(boundaries[-1], cols)
         boundaries.append(cols)
-        index_below = {f: i for i, f in enumerate(faces)}
+        index_below = {f: i for i, f in enumerate(layer)}
     return boundaries
 
 
@@ -93,12 +88,13 @@ def homology(K: SimplicialComplex, reduced=True) -> HomologyProfile:
     coefficient theorem the GF(2) rank of a boundary map is its number of
     odd invariant factors, which gives the mod-2 Betti numbers.
     """
-    return _homology([_bitmask(f) for f in K.facets], reduced)
+    return _homology(_face_poset([_bitmask(f) for f in K.facets])[0],
+                     reduced)
 
 
-def _homology(masks, reduced):
-    """homology() of the complex with these facet bitmasks."""
-    boundaries = _boundary_columns(masks)
+def _homology(faces, reduced):
+    """homology() of the complex with these nonempty faces, as bitmasks."""
+    boundaries = _boundary_columns(faces)
     dim = len(boundaries) - 1
     fvec = [len(cols) for cols in boundaries]
     ranks_z = [0] * (dim + 2)
@@ -128,13 +124,13 @@ def _sphere_homology(dim):
 class SphereCertificate:
     """Recursion trace of the homology-sphere check.
 
-    complexes maps a canonical key (support size, relabeled facets) to a
-    record with the dimension, the homology verdict, and the keys of the
-    vertex links, so shared links appear once.
+    complexes maps the name of a canonical key (support size, relabeled
+    facets) to a record with the dimension, the homology verdict, and the
+    names of the vertex links, so shared links appear once.
     """
 
     verdict: bool
-    root: tuple
+    root: str
     complexes: dict = field(default_factory=dict)
     criterion: str = "recursive-links"
     # homology(K) of the checked complex, for callers that report it: the
@@ -147,17 +143,13 @@ class SphereCertificate:
     # part of the JSON.
     settled_by: dict = field(default_factory=dict, compare=False,
                              repr=False)
-    # _key_str of every key of the table; not part of the JSON.
-    names: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __bool__(self):
         return self.verdict
 
     def to_json(self):
         return {"verdict": self.verdict, "criterion": self.criterion,
-                "root": self.names[self.root],
-                "complexes": {self.names[k]: v
-                              for k, v in self.complexes.items()}}
+                "root": self.root, "complexes": self.complexes}
 
 
 def _key_str(key):
@@ -271,7 +263,7 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     Each complex is its facet bitmasks in K's labels, and a vertex link
     is taken on the masks.  Its homology condition is settled by
     _collapses_off_a_facet on K's face poset when that succeeds, and by
-    _homology on the masks only otherwise.
+    _homology on the link's faces only otherwise.
     """
     memo, table = {}, {}
     names = {}  # key -> _key_str(key), since links recur across parents
@@ -291,15 +283,18 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
         if dim < 0:
             # The empty complex is the (-1)-sphere.
             memo[key] = True
-            table[key] = {"dim": -1, "homology_matches_sphere": True,
-                          "vertex_links": {}}
+            table[names[key]] = {"dim": -1,
+                                 "homology_matches_sphere": True,
+                                 "vertex_links": {}}
             return True
         faces = [f for f in faces if f & removed == removed and f != removed]
         if _collapses_off_a_facet(faces, removed, count, xor):
             settled["collapse"] += 1
             hom_ok = True
         else:
-            prof = stuck[key] = _homology(masks, True)
+            # The faces just collapsed, less S: lk_S K's own.
+            prof = stuck[key] = _homology([f ^ removed for f in faces],
+                                          True)
             settled["homology"] += 1
             hom_ok = prof == _sphere_homology(dim)
         links = {}
@@ -327,8 +322,9 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
                     ok = False
                     break
         memo[key] = ok
-        table[key] = {"dim": dim, "homology_matches_sphere": hom_ok,
-                      "vertex_links": links}
+        table[names[key]] = {"dim": dim,
+                             "homology_matches_sphere": hom_ok,
+                             "vertex_links": links}
         return ok
 
     root = _canonical_key(masks)
@@ -337,5 +333,6 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     del check  # the closure refers to itself: free its tables on return
     # A root that collapsed is homotopy equivalent to the sphere.
     prof = stuck.get(root) or _sphere_homology(K.dimension)
-    return SphereCertificate(verdict=verdict, root=root, complexes=table,
-                             homology=prof, settled_by=settled, names=names)
+    return SphereCertificate(verdict=verdict, root=names[root],
+                             complexes=table, homology=prof,
+                             settled_by=settled)

@@ -95,9 +95,8 @@ def _stages(torus_matrix, theta):
     minor_ok = True
     bad_comp = None
     for comp in K.facet_complements():
-        sub = A.submatrix_cols(comp)
-        if not any(det(sub.submatrix_cols(pair)) in (1, -1)
-                   for pair in combinations(range(1, len(comp) + 1), A.rows)):
+        if not any(det(A.submatrix_cols(pair)) in (1, -1)
+                   for pair in combinations(comp, A.rows)):
             minor_ok = False
             bad_comp = comp
             break

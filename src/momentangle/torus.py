@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import (IntMatrix, InternalError, _bareiss, det,
+from .intlinalg import (IntMatrix, InternalError, _bareiss,
                         hermite_normal_form, is_primitive_cols,
                         is_primitive_rows, kernel_lattice, rank_rational,
                         row_lattice_equal)
@@ -216,6 +216,14 @@ def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:
     return FreenessResult(i is None, None if i is None else K.facets[i])
 
 
+def _independent(rows, labels):
+    """Are the columns of the matrix with these rows, labelled 1-based
+    by labels, linearly independent over Q?  For a square minor, that is
+    a nonzero determinant."""
+    return _bareiss([[row[j - 1] for j in labels] for row in rows],
+                    len(labels))[0] == len(labels)
+
+
 def is_rational_characteristic(lam: IntMatrix, K: SimplicialComplex) -> bool:
     """Columns indexed by every simplex linearly independent over Q.
 
@@ -226,10 +234,7 @@ def is_rational_characteristic(lam: IntMatrix, K: SimplicialComplex) -> bool:
         raise ValueError(f"column count {lam.cols} != vertex count {K.m}")
     if K.facets and lam.rows < max(len(f) for f in K.facets):
         raise ValueError("fewer rows than the largest facet size")
-    for sigma in K.facets:
-        if rank_rational(lam.submatrix_cols(sigma)) != len(sigma):
-            return False
-    return True
+    return all(_independent(lam.data, sigma) for sigma in K.facets)
 
 
 def characteristic_duality_holds(lam: IntMatrix, theta: IntMatrix,
@@ -255,12 +260,9 @@ def characteristic_duality_holds(lam: IntMatrix, theta: IntMatrix,
         raise PreconditionError("row systems are not orthogonal")
     if rank_rational(lam.stack(theta)) != m:
         raise PreconditionError("rows are not jointly independent over Q")
-    for sigma, comp in zip(K.facets, K.facet_complements()):
-        left = det(lam.submatrix_cols(sigma)) != 0
-        right = det(theta.submatrix_cols(comp)) != 0
-        if left != right:
-            return False
-    return True
+    return all(_independent(lam.data, sigma)
+               == _independent(theta.data, comp)
+               for sigma, comp in zip(K.facets, K.facet_complements()))
 
 
 def torus_from_kernel(lam: IntMatrix) -> Subtorus:
@@ -310,21 +312,14 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
     rng = random.Random(seed)
     comps = K.facet_complements()
     size = m - n
-
-    def first_singular(rows):
-        """Index of the first facet whose complement minor of rows is
-        zero (rank below full on the square minor), or None."""
-        return next((i for i, c in enumerate(comps)
-                     if _bareiss([[row[j - 1] for j in c] for row in rows],
-                                 size)[0] < size), None)
-
     tries = 0
     while tries < max_tries:
         tries += 1
         rows = T.matrix.data + tuple(
             tuple(rng.randint(-bound, bound) for _ in range(m))
             for _ in range(need))
-        bad = first_singular(rows)
+        bad = next((i for i, c in enumerate(comps)
+                    if not _independent(rows, c)), None)
         if bad is None:
             theta_full = IntMatrix(rows, rows=size, cols=m)
             lam = kernel_lattice(theta_full)

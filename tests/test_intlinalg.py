@@ -736,6 +736,17 @@ class TestExactEntries:
             IntMatrix([[1, 2]], rows=1, cols=2.0)
 
 
+class TestImmutable:
+    def test_fields_cannot_be_assigned(self):
+        # A matrix is hashable, so a write to any field must fail and
+        # leave the matrix as it was.
+        A = IntMatrix([[1, -2], [3, 4]])
+        for name, value in (("rows", 3), ("cols", 1), ("data", ((0,),))):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(A, name, value)
+        assert (A.rows, A.cols, A.data) == (2, 2, ((1, -2), (3, 4)))
+
+
 class TestJson:
     def test_roundtrip(self):
         A = IntMatrix([[1, -2], [3, 4]])

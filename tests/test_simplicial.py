@@ -131,6 +131,15 @@ class TestConstruction:
             for g in K.facets:
                 assert f == g or not set(f) <= set(g)
 
+    def test_fields_cannot_be_assigned(self):
+        # A complex is hashable, so a write to either field must fail and
+        # leave the complex as it was.
+        K = new_complex(3, [(1, 2), (2, 3)])
+        for name, value in (("m", 4), ("facets", ((1, 2, 3),))):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(K, name, value)
+        assert (K.m, K.facets) == (3, ((1, 2), (2, 3)))
+
 
 class TestPredicates:
     def test_purity(self):
