@@ -129,8 +129,8 @@ class GradedMod2Ring:
     Every facet is nonsingular mod 2, so the linear forms are a linear
     system of parameters and the ring is spanned by face monomials: it
     vanishes above algebraic degree n (Stanley, Combinatorics and
-    Commutative Algebra, ch. III).  The degree tables are built once, for
-    degrees 0..n in order, in the constructor, which also sets top.
+    Commutative Algebra, ch. III).  The constructor builds the tables of
+    degrees 0..top in order, top the largest with a nonzero piece.
     """
 
     def __init__(self, K: SimplicialComplex, lam_mod2: IntMatrix,
@@ -156,7 +156,6 @@ class GradedMod2Ring:
                     f"not characteristic mod 2: facet {sigma} is singular")
 
         self.generator_degree = generator_degree
-        self.top_algebraic = n
         # A product of two classes has degree at most 2n and a minimal
         # non-face at most n + 1 vertices; no exponent exceeds that.
         width = max(2 * n, n + 1).bit_length()
@@ -167,13 +166,13 @@ class GradedMod2Ring:
         self._subst = [frozenset(u for j, u in zip(basis, self._units)
                                  if (cls >> j) & 1) for cls in classes]
 
-        self._relations = []
+        relations = []
         for nonface in K.minimal_nonfaces():
             poly = frozenset({0})
             for v in nonface:
                 poly = _poly_mul(poly, self._subst[v - 1])
             if poly:
-                self._relations.append((len(nonface), poly))
+                relations.append((len(nonface), poly))
 
         # The table of degree t is (monomials, index, pivot rows, pivot
         # mask, basis).  The monomials are in combinations_with_replacement
@@ -187,7 +186,7 @@ class GradedMod2Ring:
                      in combinations_with_replacement(self._units, t)]
             index = {mono: i for i, mono in enumerate(monos)}
             ideal_rows = []
-            for deg, poly in self._relations:
+            for deg, poly in relations:
                 if deg > t:
                     continue
                 for mono in self._tables[t - deg][0]:
@@ -200,10 +199,11 @@ class GradedMod2Ring:
             pivot_mask = sum(pivot_row)
             basis = [mono for i, mono in enumerate(monos)
                      if not (pivot_mask >> i) & 1]
+            # The ring is generated in degree 1: above a zero piece, zeros.
+            if not basis:
+                break
             self._tables.append((monos, index, pivot_row, pivot_mask, basis))
-        # Largest degree with a nonzero graded piece.
-        self.top = max((t for t, table in enumerate(self._tables)
-                        if table[4]), default=0)
+        self.top = len(self._tables) - 1
 
     @cached_property
     def _sw_pieces(self):
@@ -223,7 +223,7 @@ class GradedMod2Ring:
     def _basis(self, t):
         if t < 0:
             raise ValueError("degree must be non-negative")
-        return self._tables[t][4] if t <= self.top_algebraic else []
+        return self._tables[t][4] if t <= self.top else []
 
     def dim(self, t):
         """Dimension of the algebraic-degree-t graded piece."""
@@ -238,7 +238,7 @@ class GradedMod2Ring:
 
     def reduce(self, poly, t):
         """Canonical representative of a degree-t polynomial mod the ideal."""
-        if not 0 <= t <= self.top_algebraic:
+        if not 0 <= t <= self.top:
             if t < 0 or any(self._mono_degree(mono) != t for mono in poly):
                 raise ValueError("polynomial is not homogeneous of degree t")
             return frozenset()
@@ -292,7 +292,7 @@ def _expand_total_class(R: GradedMod2Ring):
         new = {}
         for t, poly in parts.items():
             new[t] = new.get(t, frozenset()) ^ poly
-            if t + 1 <= R.top_algebraic:
+            if t + 1 <= R.top:
                 new[t + 1] = new.get(t + 1, frozenset()) ^ _poly_mul(poly, vi)
         parts = {t: R.reduce(p, t) for t, p in new.items()}
     return tuple(parts.get(j, frozenset()) for j in range(R.top + 1))
@@ -316,9 +316,6 @@ def sw_numbers(R: GradedMod2Ring):
     """Every Stiefel-Whitney number: monomials in the w_i of total real
     degree equal to the real dimension, paired with the fundamental
     class.  Keys name real degrees, e.g. "w2^2" or "w4"."""
-    if R.dim(R.top) != 1:
-        raise ValueError("no fundamental class: top degree dimension "
-                         f"is {R.dim(R.top)}")
     pieces = R._sw_pieces
     out = {}
 

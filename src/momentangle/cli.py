@@ -3,9 +3,9 @@
 Each cmd_* returns its JSON payload and nothing else; main writes it
 and derives the exit code from its "verdict" field in one place: 1 when
 the verdict is false, 0 otherwise (a command without a verdict succeeds
-with 0).  2 is an input error and 3 an internal error (a failed
-assertion or any other unexpected exception, so a crash never reads as a
-negative verdict).  All randomness requires an explicit --seed.
+with 0).  2 is an input error and 3 an internal error (an
+InternalError or any other unexpected exception, so a crash never reads
+as a negative verdict).  All randomness requires an explicit --seed.
 COMMANDS is the one table of subcommands; a subcommand's parser is
 built only when its name is given.
 """
@@ -37,16 +37,16 @@ EXIT_INTERNAL = 3
 
 def _load(path, cls, what):
     """cls.from_json of the JSON file at path.  An unreadable file, bad
-    JSON or JSON of the wrong shape for cls (named by what) is a
-    ValueError naming the path."""
+    or too deeply nested JSON, or JSON that does not describe a valid cls
+    (named by what) is a ValueError naming the path."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     try:
         return cls.from_json(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {what} JSON ({exc})") from exc
 
 
@@ -351,9 +351,6 @@ def main(argv=None):
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal assertion failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}",

@@ -19,7 +19,7 @@ its d o d check, as the fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .intlinalg import InternalError, sparse_invariant_factors
 from .simplicial import SimplicialComplex, _bitmask
@@ -132,7 +132,7 @@ class SphereCertificate:
     verdict: bool
     root: str
     complexes: dict = field(default_factory=dict)
-    criterion: str = "recursive-links"
+    criterion: ClassVar[str] = "recursive-links"
     # homology(K) of the checked complex, for callers that report it: the
     # sphere's when the root collapsed, else the fallback's; not part of
     # the JSON.

@@ -19,8 +19,8 @@ from itertools import chain
 class InternalError(AssertionError):
     """An internal postcondition failed.
 
-    Raised by an explicit check, so it also fires under ``python -O``; an
-    AssertionError, so the command line maps it to exit code 3.
+    Raised by an explicit check, so it also fires under ``python -O``;
+    the command line reports it as an internal error, exit code 3.
     """
 
 
@@ -381,18 +381,14 @@ def cokernel(A):
     sd = smith(A)
     r = sd.rank
     torsion = tuple(d for d in sd.invariant_factors if d > 1)
-    free_rank = A.rows - r
-    kept = [i for i in range(r) if sd.invariant_factors[i] > 1]
-    kept += list(range(r, A.rows))
-    images = []
-    for idx, i in enumerate(kept):
-        row = list(sd.U.data[i])
-        if idx < len(torsion):
-            row = [x % torsion[idx] for x in row]
-        images.append(row)
+    # Each factor divides the next, so the factors 1 come first and the
+    # torsion rows are the last len(torsion) of U's first r rows.
+    images = [[x % d for x in row]
+              for row, d in zip(sd.U.data[r - len(torsion):r], torsion)]
+    images += sd.U.data[r:]
     return AbelianGroupPresentation(
-        free_rank=free_rank, torsion=torsion,
-        generator_images=IntMatrix(images, rows=len(kept), cols=A.rows))
+        free_rank=A.rows - r, torsion=torsion,
+        generator_images=IntMatrix(images, rows=len(images), cols=A.rows))
 
 
 def _xgcd(a, b):

@@ -38,8 +38,11 @@ class StageResult:
 @dataclass
 class VerificationReport:
     stages: list
-    passed: bool
     first_failure: Optional[str]
+
+    @property
+    def passed(self):
+        return self.first_failure is None
 
     def to_json(self):
         return {"passed": self.passed, "first_failure": self.first_failure,
@@ -60,8 +63,8 @@ def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
     for st in _stages(torus_matrix, theta):
         stages.append(st)
         if not st.passed:
-            return VerificationReport(stages, False, st.name)
-    return VerificationReport(stages, True, None)
+            return VerificationReport(stages, st.name)
+    return VerificationReport(stages, None)
 
 
 def _stages(torus_matrix, theta):

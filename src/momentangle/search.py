@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .intlinalg import IntMatrix, hermite_normal_form_rows
 from .simplicial import SimplicialComplex
@@ -92,7 +92,7 @@ class SearchResult:
     found: list = field(default_factory=list)   # canonical Subtorus values
     explored: int = 0
     complete_candidates: int = 0
-    note: str = BOUNDED_EVIDENCE
+    note: ClassVar[str] = BOUNDED_EVIDENCE
 
     def to_json(self):
         return {"found": [t.to_json() for t in self.found],

@@ -276,6 +276,15 @@ class TestSwTrivialityAndNumbers:
         nums = sw_numbers(cpn_ring(2, gdeg=1))
         assert set(nums) == {"w1^2", "w2"}
 
+    def test_numbers_need_a_fundamental_class(self):
+        # Two disjoint edges: the ring stops at degree 1, of dimension 2.
+        K = new_complex(4, [(1, 2), (3, 4)])
+        R = face_ring_mod2(K, IntMatrix([[1, 0, 1, 0], [0, 1, 0, 1]]))
+        assert R.top == 1 and R.dim(1) == 2 and R.dim(2) == 0
+        with pytest.raises(ValueError, match="no fundamental class: top "
+                           "degree dimension is 2"):
+            sw_numbers(R)
+
 
 # ---------------------------------------------------------------------------
 # Differential tests against the face ring on exponent tuples.

@@ -13,7 +13,7 @@ import pytest
 import momentangle
 from momentangle import cli
 from momentangle.cli import main
-from momentangle.intlinalg import IntMatrix
+from momentangle.intlinalg import IntMatrix, InternalError
 from momentangle.simplicial import boundary_of_simplex, cyclic_polytope_boundary
 from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
 
@@ -563,6 +563,18 @@ class TestGlobalFlags:
         assert main(["facets-cyclic", "2", "4"]) == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
+    def test_internal_error_is_reported_with_traceback(self, capsys,
+                                                       monkeypatch):
+        # A failed postcondition takes the same branch as any crash.
+        def broken(n, m):
+            raise InternalError("postcondition failed")
+
+        monkeypatch.setattr(cli, "cyclic_polytope_boundary", broken)
+        assert main(["facets-cyclic", "2", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "internal error: InternalError: postcondition failed" in err
+
     def test_closed_stdout_keeps_the_verdict(self, c69_file):
         # A reader that went away (`... | head -0`) is not an internal
         # error: the verdict was computed, so its exit code stands.
@@ -578,6 +590,59 @@ class TestGlobalFlags:
             os.close(write_end)
         assert proc.returncode == 0, proc.stderr
         assert "internal error" not in proc.stderr
+
+
+class TestInputFiles:
+    """Every failure to read an input file is an input error (exit 2)
+    whose message names the file."""
+
+    def _input_error(self, capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"input error: {path}: " in err
+        return err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        self._input_error(capsys, ["check-manifold", "--complex", str(deep)],
+                          deep)
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"m": 3, "facets": [["\xff"]]}')
+        self._input_error(capsys, ["check-manifold", "--complex", str(bad)],
+                          bad)
+
+    def test_vertex_out_of_range(self, capsys, tmp_path):
+        path = tmp_path / "K.json"
+        path.write_text('{"m": 3, "facets": [[1, 9]]}')
+        err = self._input_error(
+            capsys, ["check-manifold", "--complex", str(path)], path)
+        assert (f"{path}: malformed complex JSON (vertex 9 out of range "
+                "1..3)") in err
+
+    def test_ragged_matrix(self, capsys, tmp_path):
+        path = tmp_path / "theta.json"
+        path.write_text('{"rows": 2, "cols": 2, "data": [[1, 0], [1]]}')
+        err = self._input_error(capsys, ["quotient-h2", "--theta", str(path)],
+                                path)
+        assert (f"{path}: malformed matrix JSON (ragged or mis-shaped "
+                "matrix data)") in err
+
+    def test_non_primitive_torus_names_the_torus_file(self, capsys,
+                                                      tmp_path):
+        cpath = tmp_path / "K.json"
+        cpath.write_text(json.dumps(boundary_of_simplex(2).to_json()))
+        tpath = tmp_path / "T.json"
+        tpath.write_text('{"m": 3, "rows": [[2, 0, 0]]}')
+        err = self._input_error(
+            capsys, ["check-free", "--complex", str(cpath),
+                     "--torus", str(tpath)], tpath)
+        assert f"{tpath}: malformed subtorus JSON (rows must be a " in err
+        assert str(cpath) not in err
 
 
 class TestExactIntegerInput:

@@ -488,6 +488,43 @@ class TestCokernel:
         pres = cokernel(IntMatrix([[2, 0], [0, 3], [0, 0]]))
         assert pres.generator_images.cols == 3
 
+    # (A, free_rank, torsion, generator_images.data) of cokernel(A).  The
+    # random inputs are the first two with torsion of each shape drawn
+    # by random.Random(22) with entries in -4..4; each has factors of 1
+    # ahead of its torsion.
+    PINNED = [
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 6], [0, 0, 0]],
+         1, (2, 6), [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ([[-2, 4, 2, -4], [-4, 0, 0, 2], [-1, -2, -3, 4]],
+         0, (2, 8), [[0, 1, 0], [1, 6, 6]]),
+        ([[-4, 1, 1, 0], [-2, 2, 0, 4], [-2, 0, 0, -2]],
+         0, (2, 2), [[0, 1, 0], [0, 0, 1]]),
+        ([[2, -4, 1], [4, -4, 2], [0, 4, 0], [4, 2, 2]],
+         2, (2,), [[0, 0, 0, 1], [2, -1, 1, 0], [-6, 5, 0, -2]]),
+        ([[-2, 0, 1], [2, -4, 0], [4, 4, 4], [2, 4, 2]],
+         1, (2, 4), [[0, 1, 0, 0], [0, 0, 3, 2], [-2, -3, 4, -7]]),
+        ([[-3, -3, 3, 1, -3], [2, 2, -4, -1, 4], [-1, 2, -4, -3, 3],
+          [-1, -2, -4, 4, 2], [1, -2, 1, 1, -1]],
+         0, (129,), [[96, 124, 60, 99, 70]]),
+        ([[3, -4, -3, 4, -2], [-1, -3, -4, -1, 2], [-3, -2, 3, -4, -3],
+          [3, 4, -2, 0, 3], [3, -3, 1, -3, 0]],
+         0, (2224,), [[96, 2089, 351, 505, 1929]]),
+    ]
+
+    def test_presentations_pinned(self):
+        for A, free_rank, torsion, images in self.PINNED:
+            pres = cokernel(IntMatrix(A))
+            assert pres.free_rank == free_rank, A
+            assert pres.torsion == torsion, A
+            assert pres.generator_images.data == tuple(map(tuple, images)), A
+
+    def test_quotient_presentation_pinned(self):
+        pres = cokernel(cyclic69_quotient_matrix().transpose())
+        assert pres.free_rank == 2
+        assert pres.torsion == ()
+        assert pres.generator_images.data == (
+            (-1, 1, -1, 1, -1, 1, -1, 1, 0), (1, 0, 1, 0, 1, 0, 1, 0, 1))
+
     def test_invariance_under_unimodular_left_factor(self):
         rng = random.Random(11)
         for _ in range(30):

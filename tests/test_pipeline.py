@@ -1,6 +1,8 @@
+import pytest
+
 from momentangle import intlinalg
 from momentangle.intlinalg import IntMatrix
-from momentangle.pipeline import verify_c69_example
+from momentangle.pipeline import VerificationReport, verify_c69_example
 from momentangle.torus import cyclic69_free_subtorus, quotient_projection
 
 
@@ -74,3 +76,10 @@ class TestVerify:
         assert len(obj["stages"]) == 7
         assert obj["first_failure"] is None
         assert any("simply-connected" in a for a in obj["assumptions"])
+
+    def test_passed_is_read_off_the_first_failure(self):
+        # A report cannot pass with a failing stage named.
+        assert VerificationReport([], None).passed
+        assert not VerificationReport([], "w2").passed
+        with pytest.raises(TypeError):
+            VerificationReport([], "w2", passed=True)
