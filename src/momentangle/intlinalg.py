@@ -333,16 +333,23 @@ def is_primitive_cols(k, columns):
     their lattice is I_k.  No Smith form is built.
     """
     columns = list(columns)
-    rank, D = _bareiss(zip(*columns), len(columns))
+    return _generates(k, *_bareiss(zip(*columns), len(columns)), columns)
+
+
+def is_primitive_rows(A):
+    """True iff the rows span a rank-rows direct summand of Z^cols: the
+    test of is_primitive_cols, with Bareiss run on the rows as they are
+    and the columns built only for the Hermite form."""
+    return _generates(A.rows, *_bareiss(A.data, A.cols), zip(*A.data))
+
+
+def _generates(k, rank, D, columns):
+    """Do columns generate Z^k, given the Bareiss rank and last pivot D
+    of the k-row matrix they form?"""
     if rank < k:
         return False
     return D in (1, -1) or hermite_normal_form_rows(columns) == tuple(
         tuple(int(i == j) for j in range(k)) for i in range(k))
-
-
-def is_primitive_rows(A):
-    """True iff the rows span a rank-rows direct summand of Z^cols."""
-    return is_primitive_cols(A.rows, zip(*A.data))
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,21 @@ each node it masks, once, the fixed columns of every facet complement
 that the next column completes, and keeps only the child codes that free
 all of them (FreenessTest.free_codes), so a failing child is never
 entered; the counts are those of checking each complement once its last
-column is chosen.  It explores nothing when k exceeds the size of the
-smallest facet complement, since fewer than k columns never generate
-Z^k.  Random mode draws cfg.samples >= 1 candidates and codes each one's
-columns into the test's palette.  Results are deduplicated by the
-Hermite normal form of the row lattice, computed on plain rows, so
-GL_k(Z)-equivalent candidates count once and a duplicate builds no
-matrix.  The HNF stops at the k-th pivot, so it is U A for a unimodular
-U fixed by the columns up to that pivot; exhaustive mode reads U off the
-HNF of [A | I_k] at one leaf and keys every following leaf that shares
-those codes by the palette's images under U, without another HNF.
+column is chosen.  The free child codes of a masked prefix are one
+bitmask, found once per search in the test's children table, so a node
+ANDs one mask per complement.  The children of the last column are
+leaves, recorded in a loop; the recursion is one call per column, which
+is why exhaustive mode takes at most EXHAUSTIVE_MAX_VERTICES vertices.
+It explores nothing when k exceeds the size of the smallest facet
+complement, since fewer than k columns never generate Z^k.  Random mode
+draws cfg.samples >= 1 candidates and codes each one's columns into the
+test's palette.  Results are deduplicated by the Hermite normal form of
+the row lattice, computed on plain rows, so GL_k(Z)-equivalent
+candidates count once and a duplicate builds no matrix.  The HNF stops
+at the k-th pivot, so it is U A for a unimodular U fixed by the columns
+up to that pivot; exhaustive mode reads U off the HNF of [A | I_k] at
+one leaf and keys every following leaf that shares those codes by the
+palette's images under U, without another HNF.
 
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
@@ -38,6 +43,9 @@ from .torus import FreenessTest, PreconditionError, Subtorus
 
 BOUNDED_EVIDENCE = ("bounded evidence: search covered the stated entry set "
                     "only; a negative result is not a proof")
+# Exhaustive mode recurses once per column, so m stays well under
+# Python's default recursion limit of 1000.
+EXHAUSTIVE_MAX_VERTICES = 200
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,10 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
         raise PreconditionError("complex must be pure")
     m = K.m
     k = cfg.k
+    if cfg.mode == "exhaustive" and m > EXHAUSTIVE_MAX_VERTICES:
+        raise ValueError(
+            f"exhaustive search takes at most {EXHAUSTIVE_MAX_VERTICES} "
+            f"vertices, got {m}; use --mode random to sample")
     result = SearchResult()
     seen = set()
     # Without facets the empty face is maximal.
@@ -131,8 +143,7 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
             rows = [[rng.choice(cfg.entry_set) for _ in range(m)]
                     for _ in range(k)]
             # One column per vertex, so k = 0 codes m empty columns.
-            codes = test.code([tuple(row[j] for row in rows)
-                               for j in range(m)])
+            codes = test.code(list(zip(*rows)) if k else [()] * m)
             result.explored += 1
             if test.first_unfree(codes, comps) is None:
                 record(hermite_normal_form_rows(rows))
@@ -186,17 +197,21 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     def dfs():
         # The codes so far passed every complement ending at their depth.
         depth = len(codes)
-        if depth == m:
-            record(leaf_key())
-            return
         result.explored += len(palette)
         # Descend only into the children that pass the complements ending
         # at the next column.
-        for c in (test.free_codes(codes, heads[depth])
-                  if heads[depth] else range(len(palette))):
-            codes.append(c)
-            dfs()
-            codes.pop()
+        children = (test.free_codes(codes, heads[depth])
+                    if heads[depth] else range(len(palette)))
+        codes.append(None)
+        if depth == m - 1:  # the children are leaves
+            for c in children:
+                codes[-1] = c
+                record(leaf_key())
+        else:
+            for c in children:
+                codes[-1] = c
+                dfs()
+        codes.pop()
 
     dfs()
     return result

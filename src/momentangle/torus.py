@@ -121,14 +121,19 @@ class FreenessTest:
     only on the set of distinct columns, not on their order or
     multiplicity.  The memo stops growing at FREENESS_MEMO_LIMIT entries,
     and code() starts palette and memo over before the palette would pass
-    FREENESS_PALETTE_LIMIT codes, which keeps a key within 256 bytes.  A
-    caller testing many candidates keeps one instance for all of them."""
+    FREENESS_PALETTE_LIMIT codes, which keeps a key within 256 bytes.
+    children maps a prefix key to the bitmask of the codes c for which
+    key | 1 << c is primitive, read through memo once per prefix; it is
+    capped like memo, and code() clears it whenever it adds a code, as
+    it does after starting over.  A caller testing many candidates keeps
+    one instance for all of them."""
 
     def __init__(self, k, palette=()):
         self.k = k
         self.palette = list(palette)
         self.index = {col: c for c, col in enumerate(self.palette)}
         self.memo = {}
+        self.children = {}
 
     def code(self, columns):
         """The codes of columns, a sequence of length-k tuples; a column
@@ -144,6 +149,7 @@ class FreenessTest:
             if code is None:
                 code = index[col] = len(palette)
                 palette.append(col)
+                self.children.clear()  # each mask lacks the new code
             codes.append(code)
         return codes
 
@@ -167,29 +173,41 @@ class FreenessTest:
         """The codes c, ascending, for which first_unfree(codes + [c],
         comps) is None, where comps are the label sets in heads each
         extended by column len(codes) + 1: the children of a search node
-        that pass the complements their column completes.  The columns in
-        heads are masked once; each c then tests the complements in order,
-        up to its first failure."""
-        memo = self.memo
-        prefixes = []
+        that pass the complements their column completes.  Each head's
+        columns are masked into a prefix key, and the answer is the AND
+        of the prefixes' child masks, read low bit first."""
+        children = self.children
+        free = (1 << len(self.palette)) - 1
         for head in heads:
             key = 0
             for j in head:
                 key |= 1 << codes[j - 1]
-            prefixes.append(key)
+            mask = children.get(key)
+            if mask is None:
+                mask = self._children(key)
+            free &= mask
         out = []
-        for c in range(len(self.palette)):
-            bit = 1 << c
-            for prefix in prefixes:
-                key = prefix | bit
-                free = memo.get(key)
-                if free is None:
-                    free = self._primitive(key)
-                if not free:
-                    break
-            else:
-                out.append(c)
+        while free:
+            low = free & -free
+            out.append(low.bit_length() - 1)
+            free ^= low
         return out
+
+    def _children(self, prefix):
+        """The child mask of prefix, stored while children is below the
+        memo's cap."""
+        memo = self.memo
+        mask = 0
+        for c in range(len(self.palette)):
+            key = prefix | 1 << c
+            free = memo.get(key)
+            if free is None:
+                free = self._primitive(key)
+            if free:
+                mask |= 1 << c
+        if len(self.children) < FREENESS_MEMO_LIMIT:
+            self.children[prefix] = mask
+        return mask
 
     def _primitive(self, key):
         """The memo miss: is_primitive_cols of the columns coded by key,

@@ -326,6 +326,18 @@ class TestSearchFree:
         assert "k must be >= 0" in err
         assert "repeat argument" not in err
 
+    def test_too_many_vertices_is_input_error(self, capsys, tmp_path):
+        # The 1,000-gon once ran out of recursion depth, exit 3.
+        cpath = tmp_path / "gon.json"
+        cpath.write_text(json.dumps(
+            {"m": 1000, "facets": [[i, i % 1000 + 1]
+                                   for i in range(1, 1001)]}))
+        assert main(["search-free", "--complex", str(cpath),
+                     "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "at most 200 vertices, got 1000" in captured.err
+        assert captured.out == ""
+
     def test_random_mode_without_samples_is_input_error(self, capsys,
                                                         c69_file):
         # Zero samples is no evidence, so it must not answer "false".

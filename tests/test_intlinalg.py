@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import momentangle
+from momentangle import intlinalg
 from momentangle.intlinalg import (IntMatrix, cokernel, det,
                                    hermite_normal_form,
                                    hermite_normal_form_rows,
@@ -322,6 +323,30 @@ class TestPrimitive:
             self.check(A)
             hits += self.smith_reference(A)
         assert 0 < hits < 600  # both answers are exercised
+
+    def test_rows_against_smith_with_hermite_fallback(self, monkeypatch):
+        # is_primitive_rows runs Bareiss on the rows as given; entries in
+        # +-6 give pivot minors other than +-1, where the Hermite form of
+        # the columns answers, both ways.
+        fallbacks = []
+        real = intlinalg.hermite_normal_form_rows
+
+        def counting(rows):
+            fallbacks.append(None)
+            return real(rows)
+
+        monkeypatch.setattr(intlinalg, "hermite_normal_form_rows", counting)
+        rng = random.Random(2024)
+        answers = {}
+        for rows, cols in [(2, 5), (3, 6)] * 300:
+            A = random_matrix(rng, rows, cols, -6, 6)
+            want = self.smith_reference(A)
+            before = len(fallbacks)
+            assert is_primitive_rows(A) == want, A
+            if len(fallbacks) > before:
+                answers.setdefault((rows, cols), set()).add(want)
+            assert is_primitive_cols(A.rows, zip(*A.data)) == want, A
+        assert answers == {(2, 5): {True, False}, (3, 6): {True, False}}
 
     def test_depends_only_on_distinct_columns(self):
         # The search memoizes is_primitive_cols on the set of distinct columns.
@@ -771,6 +796,16 @@ class TestExactEntries:
                 IntMatrix([[1, bad]])
         with pytest.raises(TypeError, match="value 2.0 is not"):
             IntMatrix([[1, 2]], rows=1, cols=2.0)
+
+    def test_first_bad_value_is_named(self):
+        # The shape comes before the entries, and the entries in row
+        # order.
+        with pytest.raises(TypeError, match=r"value 2\.5 is not"):
+            IntMatrix([[1, 2.5, True]])
+        with pytest.raises(TypeError, match="value True is not"):
+            IntMatrix([[1, 2.5, True]], rows=True)
+        with pytest.raises(TypeError, match="value '3' is not"):
+            IntMatrix([[1, 2], ["3", 4.0]])
 
 
 class TestImmutable:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -7,8 +9,9 @@ import momentangle.search
 import momentangle.torus
 from momentangle.intlinalg import (IntMatrix, hermite_normal_form,
                                    hermite_normal_form_rows, smith)
-from momentangle.search import SearchConfig, search_free
-from momentangle.simplicial import (boundary_of_simplex,
+from momentangle.search import (EXHAUSTIVE_MAX_VERTICES, SearchConfig,
+                                search_free)
+from momentangle.simplicial import (SimplicialComplex, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
 from momentangle.torus import (FreenessTest, PreconditionError, Subtorus,
                                acts_freely)
@@ -295,6 +298,41 @@ class TestExhaustive:
                           SearchConfig(k=14, entry_set=(0, 1)))
         assert (res.found, res.explored, res.complete_candidates) == (
             [], 0, 0)
+
+    def test_vertex_count_bounded(self):
+        # Exhaustive mode recurses once per column: at the bound it runs,
+        # one vertex more is an input error naming the bound, raised
+        # before any facet complement is built.
+        K = boundary_of_simplex(EXHAUSTIVE_MAX_VERTICES - 1)
+        res = search_free(K, SearchConfig(k=1, entry_set=(0, 1)))
+        assert [t.matrix.data for t in res.found] == [
+            ((1,) * EXHAUSTIVE_MAX_VERTICES,)]
+        K = boundary_of_simplex(EXHAUSTIVE_MAX_VERTICES)
+
+        def no_complements(self):
+            raise AssertionError("facet complements built")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SimplicialComplex, "facet_complements",
+                       no_complements)
+            with pytest.raises(ValueError, match=(
+                    f"at most {EXHAUSTIVE_MAX_VERTICES} vertices, got "
+                    f"{EXHAUSTIVE_MAX_VERTICES + 1}")):
+                search_free(K, SearchConfig(k=1, entry_set=(0, 1)))
+        res = search_free(K, SearchConfig(k=1, entry_set=(0, 1),
+                                          mode="random", seed=1, samples=3))
+        assert res.explored == 3
+
+    def test_pinned_search_on_c6_10(self):
+        # A search 13 times the size of the k = 2 search on C_6(9): its
+        # counts and report bytes are pinned.
+        res = search_free(cyclic_polytope_boundary(6, 10),
+                          SearchConfig(k=2, entry_set=(0, 1)))
+        assert (len(res.found), res.explored, res.complete_candidates) == (
+            41551, 264172, 84066)
+        assert hashlib.sha256(json.dumps(res.to_json()).encode()).hexdigest(
+            ) == ("39fda583f125f1d55c584f04e326fc67"
+                  "165579f362e759df408435fa5d19faeb")
 
     def test_dedup_by_row_lattice(self):
         K = boundary_of_simplex(2)

@@ -156,6 +156,40 @@ class TestFreeness:
                         codes + [c], ending) is None]
             assert len(test.memo) <= limit
 
+    @pytest.mark.parametrize("limit", [3, 1 << 16])
+    def test_child_masks_match_the_definition(self, monkeypatch, limit):
+        # One instance serves a stream of random palettes, codes and
+        # heads.  A low palette cap makes code() start over mid-stream,
+        # and each new code must clear the child masks, which describe
+        # the old palette; the masks stay within the memo's cap.
+        monkeypatch.setattr(momentangle.torus, "FREENESS_MEMO_LIMIT", limit)
+        monkeypatch.setattr(momentangle.torus, "FREENESS_PALETTE_LIMIT", 12)
+        rng = random.Random(24)
+        test = FreenessTest(2)
+        restarts = hits = 0
+        for _ in range(300):
+            old = list(test.palette)
+            codes = test.code([(rng.randint(-2, 2), rng.randint(-2, 2))
+                               for _ in range(rng.randint(0, 6))])
+            if test.palette != old:
+                assert test.children == {}
+                restarts += test.palette[:len(old)] != old
+            palette = list(test.palette)
+            if not palette:
+                continue
+            for _ in range(3):
+                heads = [sorted(rng.sample(range(1, len(codes) + 1),
+                                           rng.randint(0, len(codes))))
+                         for _ in range(rng.randint(0, 3))]
+                comps = [head + [len(codes) + 1] for head in heads]
+                want = [c for c in range(len(palette))
+                        if FreenessTest(2, palette).first_unfree(
+                            codes + [c], comps) is None]
+                assert test.free_codes(codes, heads) == want
+                hits += 0 < len(want) < len(palette)
+                assert len(test.children) <= limit
+        assert restarts > 5 and hits > 50
+
 
 class TestAlmostFreeness:
     def test_free_implies_almost_free(self):
