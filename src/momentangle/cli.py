@@ -234,8 +234,6 @@ def cmd_check_free(args):
 
 
 def cmd_extend_char(args):
-    if args.seed is None:
-        raise ValueError("--seed is required for the randomized extension")
     K = _load(args.complex, SimplicialComplex, "complex")
     T = _load(args.torus, Subtorus, "subtorus")
     res: ExtensionResult = extend_to_characteristic(

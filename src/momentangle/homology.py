@@ -280,15 +280,10 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
         if key in memo:
             return memo[key]
         dim = _dimension(masks)
-        if dim < 0:
-            # The empty complex is the (-1)-sphere.
-            memo[key] = True
-            table[names[key]] = {"dim": -1,
-                                 "homology_matches_sphere": True,
-                                 "vertex_links": {}}
-            return True
         faces = [f for f in faces if f & removed == removed and f != removed]
-        if _collapses_off_a_facet(faces, removed, count, xor):
+        if dim < 0:  # the empty complex is the (-1)-sphere, with no links
+            hom_ok = True
+        elif _collapses_off_a_facet(faces, removed, count, xor):
             settled["collapse"] += 1
             hom_ok = True
         else:

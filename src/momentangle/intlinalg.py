@@ -526,8 +526,3 @@ def rref_mod2(bitrows):
         basis[p] = row
         rows.append(row)
     return rows, pivots
-
-
-def rank_mod2(A):
-    rows, _ = rref_mod2(rows_to_bitmasks(A))
-    return len(rows)

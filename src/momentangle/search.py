@@ -15,17 +15,17 @@ bitmask, found once per search in the test's children table, so a node
 ANDs one mask per complement.  The children of the last column are
 leaves, recorded in a loop; the recursion is one call per column, which
 is why exhaustive mode takes at most EXHAUSTIVE_MAX_VERTICES vertices.
-It explores nothing when k exceeds the size of the smallest facet
-complement, since fewer than k columns never generate Z^k.  Random mode
-draws cfg.samples >= 1 candidates and codes each one's columns into the
-test's palette.  Results are deduplicated by the Hermite normal form of
-the row lattice, computed on plain rows, so GL_k(Z)-equivalent
-candidates count once.  The result keeps only these keys; a lattice's
-Subtorus, with its checks, is built when it is read.  The HNF stops
-at the k-th pivot, so it is U A for a unimodular U fixed by the columns
-up to that pivot; exhaustive mode reads U off the HNF of [A | I_k] at
-one leaf and keys every following leaf that shares those codes by the
-palette's images under U, without another HNF.
+Random mode draws cfg.samples >= 1 candidates and codes each one's
+columns into the test's palette.  Either mode explores and draws nothing
+when k exceeds the size of the smallest facet complement, since fewer
+than k columns never generate Z^k.  Results are deduplicated by the
+Hermite normal form of the row lattice, computed on plain rows, so
+GL_k(Z)-equivalent candidates count once.  The result keeps only these
+keys; a lattice's Subtorus, with its checks, is built when it is read.
+The HNF stops at the k-th pivot, so it is U A for a unimodular U fixed
+by the columns up to that pivot; exhaustive mode reads U off the HNF of
+[A | I_k] at one leaf and keys every following leaf that shares those
+codes by the palette's images under U, without another HNF.
 
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
@@ -155,6 +155,11 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     seen = result.keys
     # Without facets the empty face is maximal.
     comps = K.facet_complements() or [tuple(range(1, m + 1))]
+    # Fewer than k columns never generate Z^k, so when k exceeds the
+    # smallest facet complement no candidate is free: answer "none" with
+    # nothing explored or drawn, before either mode builds a palette.
+    if k > min(map(len, comps)):
+        return result
 
     def record(key):
         """Count a complete free candidate, and keep it if its row
@@ -176,11 +181,6 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
                 record(hermite_normal_form_rows(rows))
         return result
 
-    # Fewer than k columns never generate Z^k, so when k exceeds the
-    # smallest facet complement no candidate is free: answer "none" with
-    # nothing explored, before building the |E|^k palette.
-    if k > min(map(len, comps)):
-        return result
     # The palette is every k-tuple over the entry set, in product order.
     test = FreenessTest(k, product(cfg.entry_set, repeat=k))
     palette = test.palette

@@ -299,23 +299,26 @@ class ExtensionResult:
 
 def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
                              entry_bound: Optional[int] = None,
-                             max_tries: int = 100_000,
-                             seed: int = 0) -> ExtensionResult:
+                             max_tries: int = 100_000, *,
+                             seed: int) -> ExtensionResult:
     """Extend T's rows to an (m-n) x m matrix with nonzero dets on all
     facet complements, by seeded rejection sampling of the missing rows.
 
-    Entries are drawn from [-entry_bound, entry_bound] (default max(3, m)).
-    entry_bound and max_tries must be at least 1, else ValueError: bound 0
-    only draws zero rows.  Generic rows succeed with probability
-    approaching 1 as the entry bound grows, so failure after max_tries is
-    reported, not raised.  A torus of dimension m - n draws no row; its
-    failure names a facet on whose complement its own minor is zero.  The
-    returned lam is a kernel basis of the extended matrix, with T inside
-    its kernel torus.  By Gale duality (characteristic_duality_holds) the
-    nonzero complement minors make lam a rational characteristic matrix
-    of K; that is checked on every success, and a failure raises
-    InternalError.
+    The seed is required, so that every result can be reproduced: None
+    is a ValueError, never a seed from the OS.  Entries are drawn from
+    [-entry_bound, entry_bound] (default max(3, m)).  entry_bound and
+    max_tries must be at least 1, else ValueError: bound 0 only draws
+    zero rows.  Generic rows succeed with probability approaching 1 as
+    the entry bound grows, so failure after max_tries is reported, not
+    raised.  A torus of dimension m - n draws no row; its failure names a
+    facet on whose complement its own minor is zero.  The returned lam is
+    a kernel basis of the extended matrix, with T inside its kernel
+    torus.  By Gale duality (characteristic_duality_holds) the nonzero
+    complement minors make lam a rational characteristic matrix of K;
+    that is checked on every success, and a failure raises InternalError.
     """
+    if seed is None:
+        raise ValueError("the randomized extension requires an explicit seed")
     _check_action_input(T, K)
     m = K.m
     n = K.dimension + 1

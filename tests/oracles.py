@@ -4,11 +4,14 @@ Each one has no caller in the package itself: the sphere certificate takes
 links on facet bitmasks, the search and acts_freely decide freeness through
 torus.FreenessTest, and no command reports almost-freeness or a manifold
 verdict.  They stay here, as the oracles the tests already used them as.
+The input generators that several test files draw from live here too.
 """
+
+from itertools import combinations, product
 
 from momentangle.homology import is_homology_sphere
 from momentangle.intlinalg import IntMatrix, cokernel, rank_rational
-from momentangle.simplicial import SimplicialComplex
+from momentangle.simplicial import SimplicialComplex, new_complex
 from momentangle.torus import _check_action_input
 
 
@@ -68,3 +71,36 @@ def manifold_verdict(K):
     """"certified_manifold" when K certifies as a homology sphere, else
     "unknown" — never "not a manifold"."""
     return "certified_manifold" if is_homology_sphere(K) else "unknown"
+
+
+def random_unimodular(rng, n):
+    """A unimodular n x n matrix: 3n + 2 random row additions, with
+    multipliers in [-2, 2], applied to the identity."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n + 2):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randint(-2, 2)
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+    return IntMatrix(M)
+
+
+def projective_product(exponents):
+    """(K, lambda) of prod P^{a_i}: the join of simplex boundaries on
+    consecutive vertex blocks, with block i of lambda = [I_{a_i} | -1]."""
+    blocks, start = [], 1
+    for a in exponents:
+        blocks.append(range(start, start + a + 1))
+        start += a + 1
+    m = start - 1
+    K = new_complex(m, [sum(choice, ()) for choice in
+                        product(*[combinations(b, len(b) - 1)
+                                  for b in blocks])])
+    lam = [[0] * m for _ in range(sum(exponents))]
+    row = 0
+    for a, block in zip(exponents, blocks):
+        for i in range(a):
+            lam[row + i][block[i] - 1] = 1
+            lam[row + i][block[-1] - 1] = -1
+        row += a
+    return K, IntMatrix(lam)

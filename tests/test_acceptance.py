@@ -10,6 +10,7 @@ import pytest
 
 import momentangle as ma
 from momentangle.intlinalg import IntMatrix
+from oracles import random_unimodular
 
 
 def report(number, label, t0, budget):
@@ -17,16 +18,6 @@ def report(number, label, t0, budget):
     assert elapsed < budget, (f"criterion {number} exceeded its {budget}s "
                               f"budget: {elapsed:.1f}s")
     print(f"ACCEPTANCE {number} ({label}): PASS in {elapsed:.2f}s")
-
-
-def random_unimodular(rng, n):
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n + 2):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            q = rng.randint(-2, 2)
-            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-    return IntMatrix(M)
 
 
 def test_criterion_1_reference_pipeline():

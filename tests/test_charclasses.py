@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -14,7 +14,7 @@ from momentangle.intlinalg import IntMatrix, rows_to_bitmasks, rref_mod2
 from momentangle.simplicial import boundary_of_simplex, new_complex
 from momentangle.torus import (cyclic69_quotient_matrix, quotient_projection,
                                cyclic69_free_subtorus)
-from oracles import image_contains
+from oracles import image_contains, projective_product, random_unimodular
 
 
 def lucas_binom_mod2(n, k):
@@ -28,16 +28,6 @@ def cpn_ring(n, gdeg=2):
     lam = IntMatrix([[int(i == j) for j in range(n)] + [1]
                      for i in range(n)])
     return face_ring_mod2(K, lam, generator_degree=gdeg)
-
-
-def random_unimodular(rng, n):
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n + 2):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            q = rng.randint(-2, 2)
-            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-    return IntMatrix(M)
 
 
 class TestH2:
@@ -436,27 +426,6 @@ class TupleRing:
                 names.append(name if e == 1 else f"{name}^{e}")
             out[" ".join(names)] = 1 if acc else 0
         return out
-
-
-def projective_product(exponents):
-    """(K, lambda) of prod P^{a_i}: the join of simplex boundaries on
-    consecutive vertex blocks, with block i of lambda = [I_{a_i} | -1]."""
-    blocks, start = [], 1
-    for a in exponents:
-        blocks.append(range(start, start + a + 1))
-        start += a + 1
-    m = start - 1
-    K = new_complex(m, [sum(choice, ()) for choice in
-                        product(*[combinations(b, len(b) - 1)
-                                  for b in blocks])])
-    lam = [[0] * m for _ in range(sum(exponents))]
-    row = 0
-    for a, block in zip(exponents, blocks):
-        for i in range(a):
-            lam[row + i][block[i] - 1] = 1
-            lam[row + i][block[-1] - 1] = -1
-        row += a
-    return K, IntMatrix(lam)
 
 
 def square_ring_input():

@@ -393,6 +393,23 @@ class TestSearchFree:
         assert "at most 200 vertices, got 1000" in captured.err
         assert captured.out == ""
 
+    def test_random_k_over_smallest_complement_answers_at_once(
+            self, capsys, c69_file, monkeypatch):
+        # No facet complement of the boundary of C_6(9) has more than three
+        # columns, so no candidate can be free and none is drawn; a draw
+        # fails at once here instead of filling memory with 9 * 10^8
+        # entries.
+        def no_draws(*args):
+            raise AssertionError("candidate drawn")
+
+        monkeypatch.setattr(momentangle.search, "_draws", no_draws)
+        code, obj = run_json(capsys, [
+            "--seed", "1", "search-free", "--complex", c69_file,
+            "--k", "100000000", "--mode", "random", "--samples", "1"])
+        assert code == 1
+        assert (obj["found"], obj["explored"],
+                obj["complete_candidates"]) == ([], 0, 0)
+
     def test_random_mode_without_samples_is_input_error(self, capsys,
                                                         c69_file):
         # Zero samples is no evidence, so it must not answer "false".

@@ -15,7 +15,8 @@ from momentangle.homology import (InternalError, SphereCertificate,
                                   _collapses_off_a_facet, _face_poset,
                                   _key_str,
                                   homology, is_homology_sphere)
-from momentangle.intlinalg import IntMatrix, rank_mod2, smith
+from momentangle.intlinalg import (IntMatrix, rows_to_bitmasks, rref_mod2,
+                                   smith)
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
 from oracles import link, manifold_verdict, support
@@ -70,8 +71,8 @@ def chain_complex(K):
 
 def dense_reference(K, reduced):
     """Homology from dense smith and GF(2) rank on the chain_complex
-    boundaries; also checks rank_mod2 == number of odd invariant factors
-    on every boundary."""
+    boundaries; also checks that the rank of rref_mod2 is the number of
+    odd invariant factors on every boundary."""
     dim = K.dimension
     fvec = K.f_vector()
     ranks_z = [0] * (dim + 2)
@@ -79,7 +80,7 @@ def dense_reference(K, reduced):
     factors = [()] * (dim + 2)
     for d, bd in enumerate(chain_complex(K).boundaries):
         factors_d = smith(bd).invariant_factors
-        rank_2 = rank_mod2(bd)
+        rank_2 = len(rref_mod2(rows_to_bitmasks(bd))[0])
         assert rank_2 == sum(1 for f in factors_d if f % 2)
         if d == 0 and not reduced:
             continue

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -13,8 +14,8 @@ from momentangle.intlinalg import (IntMatrix, cokernel, det,
                                    hermite_normal_form_rows,
                                    is_primitive_cols, is_primitive_rows,
                                    kernel_lattice,
-                                   rank_mod2, rank_rational,
-                                   row_lattice_equal, rref_mod2, smith,
+                                   rank_rational, row_lattice_equal,
+                                   rows_to_bitmasks, rref_mod2, smith,
                                    sparse_invariant_factors)
 from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
 from oracles import image_contains, zero_matrix
@@ -484,18 +485,55 @@ class TestCompletion:
             "quotient projection kernel is not the torus"]
 
 
-def test_src_has_no_assert_statements():
-    # python -O strips assert statements, so a postcondition written as
-    # one would silently vanish; every check in the package raises.
+def package_modules():
+    """(file name, syntax tree) of every module of the package."""
     pkg = os.path.dirname(momentangle.__file__)
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements, so a postcondition written as
+    # one would silently vanish; every check in the package raises.
+    found = []
+    for name, tree in package_modules():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_src_has_no_orphan_public_names():
+    # A public top-level function, class or constant that no other
+    # statement of the package names, and that __init__ does not import,
+    # is dead code that still reads as API.
+    defined = {}                # (file, name) -> its top-level statement
+    named_by = defaultdict(set)  # name -> top-level statements naming it
+    for name, tree in package_modules():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                targets = [top.name]
+            elif isinstance(top, ast.Assign):
+                targets = [t.id for t in top.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(top, ast.AnnAssign) and isinstance(top.target,
+                                                               ast.Name):
+                targets = [top.target.id]
+            else:
+                targets = []
+            for target in targets:
+                if not target.startswith("_"):
+                    defined[name, target] = top
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    named_by[node.id].add(top)
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        named_by[alias.name].add(top)
+    assert [f"{name}:{target}" for (name, target), top in defined.items()
+            if not named_by[target] - {top}] == []
 
 
 class TestCokernel:
@@ -747,8 +785,10 @@ def gf2_span(bitrows):
 
 class TestMod2:
     def test_rank_mod2(self):
-        assert rank_mod2(IntMatrix([[2, 4], [1, 1]])) == 1
-        assert rank_mod2(IntMatrix.identity(4)) == 4
+        # The GF(2) rank is the number of rows rref_mod2 keeps.
+        for A, rank in [(IntMatrix([[2, 4], [1, 1]]), 1),
+                        (IntMatrix.identity(4), 4)]:
+            assert len(rref_mod2(rows_to_bitmasks(A))[0]) == rank
 
     def test_rref_edge_cases(self):
         assert rref_mod2([]) == ([], [])

@@ -76,6 +76,10 @@ def frozenset_search(K, cfg):
             seen.add(key)
             found.append(key)
 
+    # No complement with fewer than k columns generates Z^k: nothing to
+    # explore or draw, in either mode.
+    if k > min(map(len, comps)):
+        return found, counts["explored"], counts["complete"]
     if cfg.mode == "random":
         rng = random.Random(cfg.seed)
         for _ in range(cfg.samples):
@@ -87,10 +91,6 @@ def frozenset_search(K, cfg):
                 record(columns)
         return found, counts["explored"], counts["complete"]
 
-    # No complement with fewer than k columns generates Z^k: nothing to
-    # explore.
-    if k > min(map(len, comps)):
-        return found, counts["explored"], counts["complete"]
     by_depth = {}
     for comp in comps:
         by_depth.setdefault(comp[-1] if comp else 0, []).append(comp)
@@ -367,6 +367,19 @@ class TestRandom:
         a = search_free(K, cfg)
         b = search_free(K, cfg)
         assert ([t.matrix for t in a.found] == [t.matrix for t in b.found])
+
+    def test_k_over_smallest_complement_draws_nothing(self, monkeypatch):
+        # Each facet complement of the boundary of C_6(9) has three
+        # columns, so no 4-torus is free: random mode answers as
+        # exhaustive mode does, without drawing a candidate.
+        def no_draws(*args):
+            raise AssertionError("candidate drawn")
+
+        monkeypatch.setattr(momentangle.search, "_draws", no_draws)
+        res = search_free(cyclic_polytope_boundary(6, 9), SearchConfig(
+            k=4, entry_set=(0, 1), mode="random", seed=1, samples=5))
+        assert (res.found, res.explored, res.complete_candidates) == (
+            [], 0, 0)
 
     def test_draws_are_rng_choice(self):
         # The inline draw is rng.choice's rejection sampling, so the

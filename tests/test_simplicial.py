@@ -1,12 +1,12 @@
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
 from momentangle.simplicial import (SimplicialComplex, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from oracles import has_face, link, support
+from oracles import has_face, link, projective_product, support
 
 
 def brute_force_gale(n, m):
@@ -63,19 +63,6 @@ def subset_minimal_nonfaces(K):
             found.append(mask)
             out.append(tuple(v + 1 for v in cand))
     return out
-
-
-def projective_product(exponents):
-    """The complex of prod P^{a_i}: the join of the boundaries of the
-    simplices on consecutive vertex blocks of sizes a_i + 1."""
-    blocks, start = [], 1
-    for a in exponents:
-        blocks.append(range(start, start + a + 1))
-        start += a + 1
-    return new_complex(start - 1, [
-        sum(choice, ())
-        for choice in product(*[combinations(b, len(b) - 1)
-                                for b in blocks])])
 
 
 def random_faces(rng, m):
@@ -283,7 +270,7 @@ class TestMinimalNonfaces:
         cases = [(2,) * k for k in range(1, 6)]
         cases += [(3, 3, 3), (1, 2, 3), (1,) * 6]
         for exponents in cases:
-            K = projective_product(exponents)
+            K, _ = projective_product(exponents)
             got = K.minimal_nonfaces()
             assert got == subset_minimal_nonfaces(K), exponents
             # One minimal non-face per factor: its whole vertex block.

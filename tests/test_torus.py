@@ -17,17 +17,7 @@ from momentangle.torus import (FreenessTest, PreconditionError, Subtorus,
                                extend_to_characteristic,
                                is_rational_characteristic,
                                quotient_projection, torus_from_kernel)
-from oracles import acts_almost_freely
-
-
-def random_unimodular(rng, n):
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n + 2):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            q = rng.randint(-2, 2)
-            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-    return IntMatrix(M)
+from oracles import acts_almost_freely, random_unimodular
 
 
 def cpn_char_matrix(n):
@@ -316,6 +306,18 @@ class TestExtension:
         assert res.message.startswith("no row drawn")
         assert res.message.endswith("facet [1, 2, 3, 4, 5, 6] is zero")
         assert det(T.matrix.submatrix_cols((7, 8, 9))) == 0
+
+    def test_seed_is_required(self):
+        # An unseeded extension could not be reproduced: the seed is a
+        # keyword without a default, and None is refused.
+        K = boundary_of_simplex(2)
+        T = Subtorus(IntMatrix([], rows=0, cols=3))
+        with pytest.raises(TypeError):
+            extend_to_characteristic(T, K)
+        with pytest.raises(TypeError):
+            extend_to_characteristic(T, K, 1, 1, 5)
+        with pytest.raises(ValueError, match="explicit seed"):
+            extend_to_characteristic(T, K, seed=None)
 
     def test_dimension_too_large(self):
         K = boundary_of_simplex(2)
