@@ -27,6 +27,20 @@ by the columns up to that pivot; exhaustive mode reads U off the HNF of
 [A | I_k] at one leaf and keys every following leaf that shares those
 codes by the palette's images under U, without another HNF.
 
+Exhaustive mode visits one candidate per orbit of the k! row
+permutations, which are unimodular: they keep the entry set, freeness on
+every facet complement and the row lattice.  Palette codes are in
+product order, so the search runs in column-major lexicographic order of
+entry indices, and the first member of each orbit in that order is the
+one whose rows, as entry-index sequences, are in non-decreasing
+lexicographic order.  Only sorted prefixes are entered, so the first
+candidate with each lattice is still met first and the keys keep their
+order.  A node tracks which adjacent rows are still equal; its tie table
+gives the codes that keep the rows sorted, ANDed into the child mask,
+and the number k!/(r_1! r_2! ...) of prefixes it stands for, r_j the
+sizes of its groups of equal rows, which weights its explored count.  A
+free leaf has distinct rows, so it stands for k! complete candidates.
+
 A negative result is bounded evidence over the given entry set only —
 never a proof of non-existence.
 """
@@ -36,6 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from math import factorial
 from typing import ClassVar, Optional
 
 from .intlinalg import IntMatrix, hermite_normal_form_rows
@@ -161,12 +176,6 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
     if k > min(map(len, comps)):
         return result
 
-    def record(key):
-        """Count a complete free candidate, and keep it if its row
-        lattice, given by its HNF key, is new."""
-        result.complete_candidates += 1
-        seen[key] = None  # a key seen before keeps its place
-
     if cfg.mode == "random":
         # The palette is the distinct columns in order of first draw.
         rng = random.Random(cfg.seed)
@@ -178,7 +187,9 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
             codes = test.code(list(zip(*rows)) if k else [()] * m)
             result.explored += 1
             if test.first_unfree(codes, comps) is None:
-                record(hermite_normal_form_rows(rows))
+                result.complete_candidates += 1
+                # A key seen before keeps its place.
+                seen[hermite_normal_form_rows(rows)] = None
         return result
 
     # The palette is every k-tuple over the entry set, in product order.
@@ -221,24 +232,52 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
              for urow in U]]
         return tuple(row[:m] for row in H)
 
-    def dfs():
-        # The codes so far passed every complement ending at their depth.
+    # ties: bit i is set while rows i and i + 1 are equal so far.
+    digits = list(product(range(len(cfg.entry_set)), repeat=k))
+    tables = {}
+
+    def tie_table(ties):
+        """The mask of the codes that keep the rows sorted, each code's
+        next ties, and the number of prefixes a node stands for."""
+        allowed, nexts = 0, []
+        for c, d in enumerate(digits):
+            after = ties
+            for i in range(k - 1):
+                if ties >> i & 1 and d[i] != d[i + 1]:
+                    if d[i] > d[i + 1]:
+                        break
+                    after ^= 1 << i
+            else:
+                allowed |= 1 << c
+            nexts.append(after)
+        weight, run = factorial(k), 1
+        for i in range(k - 1):
+            run = run + 1 if ties >> i & 1 else 1
+            weight //= run
+        tables[ties] = allowed, nexts, weight
+        return tables[ties]
+
+    def dfs(ties):
+        # The codes so far are sorted and passed every complement ending
+        # at their depth.
         depth = len(codes)
-        result.explored += len(palette)
-        # Descend only into the children that pass the complements ending
-        # at the next column.
-        children = (test.free_codes(codes, heads[depth])
-                    if heads[depth] else range(len(palette)))
+        allowed, nexts, weight = tables.get(ties) or tie_table(ties)
+        result.explored += len(palette) * weight
+        # Descend only into the sorted children that pass the complements
+        # ending at the next column.
+        children = test.free_codes(codes, heads[depth], allowed)
         codes.append(None)
         if depth == m - 1:  # the children are leaves
             for c in children:
                 codes[-1] = c
-                record(leaf_key())
+                seen[leaf_key()] = None
+            # A free leaf's rows are distinct: k! candidates each.
+            result.complete_candidates += len(children) * factorial(k)
         else:
             for c in children:
                 codes[-1] = c
-                dfs()
+                dfs(nexts[c])
         codes.pop()
 
-    dfs()
+    dfs((1 << max(k - 1, 0)) - 1)  # no column yet: every row ties
     return result

@@ -169,15 +169,17 @@ class FreenessTest:
                 return i
         return None
 
-    def free_codes(self, codes, heads):
-        """The codes c, ascending, for which first_unfree(codes + [c],
-        comps) is None, where comps are the label sets in heads each
-        extended by column len(codes) + 1: the children of a search node
-        that pass the complements their column completes.  Each head's
-        columns are masked into a prefix key, and the answer is the AND
-        of the prefixes' child masks, read low bit first."""
+    def free_codes(self, codes, heads, free=None):
+        """The codes c in the bitmask free (every code when None),
+        ascending, for which first_unfree(codes + [c], comps) is None,
+        where comps are the label sets in heads each extended by column
+        len(codes) + 1: the allowed children of a search node that pass
+        the complements their column completes.  Each head's columns are
+        masked into a prefix key, and the answer is free ANDed with the
+        prefixes' child masks, read low bit first."""
         children = self.children
-        free = (1 << len(self.palette)) - 1
+        if free is None:
+            free = (1 << len(self.palette)) - 1
         for head in heads:
             key = 0
             for j in head:

@@ -4,9 +4,6 @@ numeric tolerances anywhere."""
 
 import random
 import time
-from itertools import combinations
-
-import pytest
 
 import momentangle as ma
 from momentangle.intlinalg import IntMatrix

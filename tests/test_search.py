@@ -7,8 +7,7 @@ import pytest
 
 import momentangle.search
 import momentangle.torus
-from momentangle.intlinalg import (IntMatrix, hermite_normal_form,
-                                   hermite_normal_form_rows, smith)
+from momentangle.intlinalg import IntMatrix, hermite_normal_form, smith
 from momentangle.search import (EXHAUSTIVE_MAX_VERTICES, SearchConfig,
                                 search_free)
 from momentangle.simplicial import (SimplicialComplex, boundary_of_simplex,
@@ -183,6 +182,17 @@ class TestAgainstFrozensetSearch:
                   for t in res.found for row in t.matrix.data}
         assert max(pivots) > 1
 
+    def test_octahedron_at_k3(self):
+        # Every free leaf has distinct rows and stands for 3! = 6
+        # candidates; the oracle enumerates each of them, so it checks the
+        # orbit weights of explored and complete_candidates independently.
+        K = new_complex(6, list(product((1, 2), (3, 4), (5, 6))))
+        for entries, lattices, complete in [((1, 0), 319, 4200),
+                                            ((1, 2), 97, 990)]:
+            res = self.check(K, SearchConfig(k=3, entry_set=entries))
+            assert (len(res.found), res.complete_candidates) == (
+                lattices, complete)
+
     def test_complement_ending_at_the_first_column(self):
         # Each facet complement of the triangle boundary is one column, so
         # complement (1,) is tested at depth 0 on an empty prefix mask.
@@ -334,6 +344,36 @@ class TestExhaustive:
             ) == ("39fda583f125f1d55c584f04e326fc67"
                   "165579f362e759df408435fa5d19faeb")
 
+    def test_pinned_search_at_k4(self):
+        # 4! = 24 row permutations: each sorted node stands for up to 24
+        # prefixes, and each free leaf for 24 candidates.
+        res = search_free(cyclic_polytope_boundary(2, 6),
+                          SearchConfig(k=4, entry_set=(0, 1)))
+        assert (len(res.found), res.explored, res.complete_candidates) == (
+            1076, 2942224, 213840)
+        assert hashlib.sha256(json.dumps(res.to_json()).encode()).hexdigest(
+            ) == ("4243c59cce6558e54b1e3a474b0458d6"
+                  "b9cc753d74d3ab7e695f9ab0ca10e738")
+
+    def test_one_node_per_row_permutation_orbit(self, monkeypatch):
+        # Only prefixes with sorted rows are entered, one free_codes call
+        # each.  Without the orbit pruning this search has 5,175 nodes at
+        # k = 2 and 3,937 at k = 3.  At k = 2 a prefix with two equal rows
+        # is its own orbit, so the count is a little over half.
+        nodes = []
+        real = FreenessTest.free_codes
+
+        def counting(self, *args):
+            nodes.append(None)
+            return real(self, *args)
+
+        monkeypatch.setattr(FreenessTest, "free_codes", counting)
+        K = cyclic_polytope_boundary(6, 9)
+        for k, want in [(2, 2591), (3, 669)]:
+            del nodes[:]
+            search_free(K, SearchConfig(k=k, entry_set=(0, 1)))
+            assert len(nodes) == want, k
+
     def test_dedup_by_row_lattice(self):
         K = boundary_of_simplex(2)
         res = search_free(K, SearchConfig(k=1, entry_set=(-1, 0, 1)))
@@ -418,7 +458,7 @@ class TestMemo:
     def test_evaluation_counts_on_c69(self, evaluations):
         K = cyclic_polytope_boundary(6, 9)
         for cfg, want in [
-                (SearchConfig(k=3, entry_set=(0, 1)), 92),
+                (SearchConfig(k=3, entry_set=(0, 1)), 88),
                 (SearchConfig(k=2, entry_set=(0, 1)), 14),
                 (SearchConfig(k=2, entry_set=(-1, 0, 1), mode="random",
                               seed=111985490, samples=2000), 129)]:

@@ -146,6 +146,22 @@ class TestFreeness:
                         codes + [c], ending) is None]
             assert len(test.memo) <= limit
 
+    def test_free_codes_within_a_starting_mask(self):
+        # The search passes the codes that keep its rows sorted as the
+        # starting mask: the answer is the unmasked one cut to the mask.
+        rng = random.Random(11)
+        K = cyclic_polytope_boundary(6, 9)
+        comps = K.facet_complements()
+        palette = list(product(range(-1, 3), repeat=2))
+        test = FreenessTest(2, palette)
+        for _ in range(150):
+            depth = rng.randrange(K.m)
+            codes = [rng.randrange(len(palette)) for _ in range(depth)]
+            heads = [comp[:-1] for comp in comps if comp[-1] == depth + 1]
+            mask = rng.getrandbits(len(palette))
+            assert test.free_codes(codes, heads, mask) == [
+                c for c in test.free_codes(codes, heads) if mask >> c & 1]
+
     @pytest.mark.parametrize("limit", [3, 1 << 16])
     def test_child_masks_match_the_definition(self, monkeypatch, limit):
         # One instance serves a stream of random palettes, codes and
