@@ -8,12 +8,14 @@ failing only yields "unknown" since the criterion is sufficient, not
 necessary.
 
 Every complex of the certificate, the root included, is a list of facet
-bitmasks, and its homology condition is discharged by a collapse first:
-if the complex less one top-dimensional facet collapses to a vertex, the
-complex is homotopy equivalent to a sphere (Whitehead; greedy collapses
-as in Benedetti and Lutz, Exp. Math. 2014).  A failed collapse proves
-nothing, so only then is the homology computed on the link's faces, with
-its d o d check, as the fallback.
+bitmasks.  A pure root whose ridges each lie in two facets, and whose
+facets have a shelling order, is a PL sphere (Danaraj and Klee, Duke
+Math. J. 1974); so is every link of it, and every homology condition
+holds.  Otherwise each is discharged by a collapse first: if the complex
+less one top-dimensional facet collapses to a vertex, it is homotopy
+equivalent to a sphere (Whitehead; greedy collapses as in Benedetti and
+Lutz, Exp. Math. 2014).  A failed collapse proves nothing, so only then
+is the homology computed on the link's faces, with its d o d check.
 """
 
 from __future__ import annotations
@@ -134,12 +136,13 @@ class SphereCertificate:
     complexes: dict = field(default_factory=dict)
     criterion: ClassVar[str] = "recursive-links"
     # homology(K) of the checked complex, for callers that report it: the
-    # sphere's when the root collapsed, else the fallback's; not part of
-    # the JSON.
+    # sphere's when the root shelled or collapsed, else the fallback's; not
+    # part of the JSON.
     homology: Optional[HomologyProfile] = field(default=None, compare=False,
                                                 repr=False)
     # Nonempty complexes of the table whose homology condition was settled
-    # by a collapse and by homology, {"collapse": n, "homology": n}; not
+    # by the root's shelling (present only when it shelled), by a collapse
+    # and by homology, {"shelling": n, "collapse": n, "homology": n}; not
     # part of the JSON.
     settled_by: dict = field(default_factory=dict, compare=False,
                              repr=False)
@@ -257,13 +260,57 @@ def _collapses_off_a_facet(faces, removed, count, xor):
     return len(count) == 1
 
 
+def _shelling_order(masks):
+    """Indices of the facets masks in a shelling order, or None.
+
+    None unless every ridge lies in exactly two facets.  Facets are placed
+    greedily from the first: F may come next when R(F), the vertices v
+    whose neighbour across the ridge F - v is placed, is nonempty and lies
+    in no placed facet, so that F meets the placed ones in a pure complex
+    of codimension one.  R(F) only grows, so F is tried again only when it
+    does.  Neighbours have one size, so a complex that is not pure gets no
+    order.  A stuck greedy pass proves nothing."""
+    if not masks:
+        return None
+    across = {}  # ridge -> the facets on its two sides
+    for i, f in enumerate(masks):
+        for bit in _bits(f):
+            across.setdefault(f ^ bit, []).append(i)
+    if any(len(pair) != 2 for pair in across.values()):
+        return None
+    restriction = [0] * len(masks)  # R(F) as a mask, -1 once F is placed
+    holding = {}  # vertex bit -> bitset of the placed facets holding it
+    order, todo = [], [0]
+    while todo:
+        i = todo.pop()
+        if restriction[i] < 0:
+            continue  # placed already
+        hits = -1 if order else 0  # the placed facets holding R(F)
+        for bit in _bits(restriction[i]):
+            hits &= holding.get(bit, 0)
+        if hits:
+            continue
+        order.append(i)
+        restriction[i] = -1
+        f = masks[i]
+        for bit in _bits(f):
+            holding[bit] = holding.get(bit, 0) | 1 << i
+            a, b = across[f ^ bit]
+            j = a + b - i
+            if restriction[j] >= 0:
+                restriction[j] |= masks[j] & ~f
+                todo.append(j)
+    return order if len(order) == len(masks) else None
+
+
 def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     """Certify K by the recursive-links criterion.
 
     Each complex is its facet bitmasks in K's labels, and a vertex link
-    is taken on the masks.  Its homology condition is settled by
-    _collapses_off_a_facet on K's face poset when that succeeds, and by
-    _homology on the link's faces only otherwise.
+    is taken on the masks.  When K has a _shelling_order, it is a PL
+    sphere, and so is every link in it: every homology condition holds.
+    Otherwise each is settled by _collapses_off_a_facet on K's face poset
+    when that succeeds, and by _homology on the link's faces if not.
     """
     memo, table = {}, {}
     names = {}  # key -> _key_str(key), since links recur across parents
@@ -271,7 +318,10 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     settled = {"collapse": 0, "homology": 0}
     stuck = {}  # key -> homology of a complex whose collapse got stuck
     masks = [_bitmask(f) for f in K.facets]
-    count, xor = _face_poset(masks)
+    shelled = _shelling_order(masks) is not None
+    if shelled:  # no faces to filter, collapse or measure
+        settled["shelling"] = 0
+    count, xor = ({}, {}) if shelled else _face_poset(masks)
 
     def check(masks, faces, removed, key):
         """Certify lk_S K, S = removed, from its masks, its canonical key
@@ -283,8 +333,8 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
         faces = [f for f in faces if f & removed == removed and f != removed]
         if dim < 0:  # the empty complex is the (-1)-sphere, with no links
             hom_ok = True
-        elif _collapses_off_a_facet(faces, removed, count, xor):
-            settled["collapse"] += 1
+        elif shelled or _collapses_off_a_facet(faces, removed, count, xor):
+            settled["shelling" if shelled else "collapse"] += 1
             hom_ok = True
         else:
             # The faces just collapsed, less S: lk_S K's own.

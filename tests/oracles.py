@@ -1,10 +1,12 @@
 """Reference implementations the tests check the package against.
 
 Each one has no caller in the package itself: the sphere certificate takes
-links on facet bitmasks, the search and acts_freely decide freeness through
-torus.FreenessTest, and no command reports almost-freeness or a manifold
-verdict.  They stay here, as the oracles the tests already used them as.
-The input generators that several test files draw from live here too.
+links on facet bitmasks and shells on them, the search and acts_freely
+decide freeness through torus.FreenessTest, and no command reports
+almost-freeness or a manifold verdict.  They stay here, as the oracles
+the tests already used them as.  The input generators that several test
+files draw from live here too.  is_shelling does not call the package's
+shelling: it checks an order from intersections of facets alone.
 """
 
 from itertools import combinations, product
@@ -71,6 +73,26 @@ def manifold_verdict(K):
     """"certified_manifold" when K certifies as a homology sphere, else
     "unknown" — never "not a manifold"."""
     return "certified_manifold" if is_homology_sphere(K) else "unknown"
+
+
+def is_shelling(facets, order):
+    """Whether the facets, taken in this order of their indices, are a
+    shelling: all of one size d + 1, and each F_j after the first meets
+    F_1 u ... u F_{j-1} in a pure complex of dimension d - 1.  That
+    intersection is the complex of the faces F_j & F_i, i < j, so it is
+    pure of dimension d - 1 when each of them lies in one of size d."""
+    if sorted(order) != list(range(len(facets))) or not facets:
+        return False
+    placed = [frozenset(facets[i]) for i in order]
+    d = len(placed[0]) - 1
+    if any(len(F) != d + 1 for F in placed):
+        return False
+    for j in range(1, len(placed)):
+        meets = {placed[j] & F for F in placed[:j]}
+        ridges = [G for G in meets if len(G) == d]
+        if not all(any(G <= R for R in ridges) for G in meets):
+            return False
+    return True
 
 
 def random_unimodular(rng, n):

@@ -131,7 +131,7 @@ class TestCheckManifold:
             if c["dim"] >= 0)
 
     def test_homology_only_for_stuck_collapses(self, capsys, c69_file,
-                                               monkeypatch):
+                                               monkeypatch, no_shelling):
         hmod = sys.modules["momentangle.homology"]
         real_homology, real_collapse = (hmod._homology,
                                         hmod._collapses_off_a_facet)
@@ -186,7 +186,11 @@ class TestCheckManifold:
                 out[name] = (code, capsys.readouterr().out)
             return out
 
+        # The root's shelling settles each sphere by default, the
+        # collapses without it, and homology without either.
         default = reports()
+        request.getfixturevalue("no_shelling")
+        assert reports() == default
         request.getfixturevalue("no_collapse")
         assert reports() == default
         for name, (code, _) in default.items():

@@ -13,13 +13,13 @@ from momentangle.homology import (InternalError, SphereCertificate,
                                   _boundary_columns,
                                   _check_boundary_squared_zero,
                                   _collapses_off_a_facet, _face_poset,
-                                  _key_str,
+                                  _key_str, _shelling_order,
                                   homology, is_homology_sphere)
 from momentangle.intlinalg import (IntMatrix, rows_to_bitmasks, rref_mod2,
                                    smith)
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from oracles import link, manifold_verdict, support
+from oracles import is_shelling, link, manifold_verdict, support
 
 # Minimal 6-vertex triangulation of the real projective plane: the one
 # complex in the suite with integer torsion (H_1 = Z/2).
@@ -414,7 +414,8 @@ class TestSphereCertificate:
                                             if c["dim"] >= 0)
             assert cert.homology == homology(K)
 
-    def test_homology_only_for_stuck_collapses(self, monkeypatch):
+    def test_homology_only_for_stuck_collapses(self, monkeypatch,
+                                               no_shelling):
         hmod = sys.modules["momentangle.homology"]
         calls = dict.fromkeys(("key", "name", "homology", "collapse",
                                "stuck"), 0)
@@ -458,7 +459,7 @@ class TestSphereCertificate:
                 "homology": calls["homology"]}
             assert cert.homology == homology(K)
 
-    def test_collapses_settle_cyclic_spheres(self):
+    def test_collapses_settle_cyclic_spheres(self, no_shelling):
         # The greedy's outcome, pinned: a change of its stack order that
         # gets stuck more often shows here, not only in the time.
         for n, m, size in ((6, 10, 60), (8, 12, 220), (4, 12, 18)):
@@ -466,10 +467,18 @@ class TestSphereCertificate:
             assert len(cert.complexes) == size
             assert cert.settled_by == {"collapse": size - 1, "homology": 0}
 
+    def test_shelling_settles_cyclic_spheres(self):
+        # The root shells, so no complex is collapsed or measured.
+        for n, m, size in ((6, 10, 60), (8, 12, 220), (4, 12, 18)):
+            cert = is_homology_sphere(cyclic_polytope_boundary(n, m))
+            assert len(cert.complexes) == size
+            assert cert.settled_by == {"shelling": size - 1, "collapse": 0,
+                                       "homology": 0}
+
     def test_certificate_leaves_no_garbage(self):
         # The recursion's tables, K's face poset among them, are freed on
-        # return, not left in a cycle for the collector; RP^2 takes the
-        # homology fallback.
+        # return, not left in a cycle for the collector; the boundary of
+        # C6(10) shells, and RP^2 takes the homology fallback.
         for K in (cyclic_polytope_boundary(6, 10), RP2):
             gc.collect()
             gc.disable()
@@ -484,7 +493,7 @@ class TestSphereCertificate:
         # Same JSON, byte for byte, as the recursion on SimplicialComplex
         # links with homology everywhere; ghost vertices move the labels.
         # The reported homology is K's, and every nonempty complex of the
-        # table was settled once.
+        # table was settled once.  A complex that shells passes.
         rng = random.Random(20261018)
         complexes = [RP2, SUSP_RP2, CONE_RP2, TORUS_7, FIN,
                      new_complex(2, [(1,), (2,)]), new_complex(1, [(1,)]),
@@ -495,8 +504,12 @@ class TestSphereCertificate:
         complexes += [random_complex(rng) for _ in range(150)]
         for K in complexes:
             cert = is_homology_sphere(K)
+            reference = reference_certificate(K)
             assert (json.dumps(cert.to_json())
-                    == json.dumps(reference_certificate(K).to_json())), K
+                    == json.dumps(reference.to_json())), K
+            order = _shelling_order(masks_of(K))
+            assert order is None or reference.verdict and is_shelling(
+                K.facets, order), K
             assert cert.homology == homology(K), K
             assert sum(cert.settled_by.values()) == sum(
                 1 for c in cert.complexes.values() if c["dim"] >= 0), K
@@ -584,3 +597,64 @@ class TestCollapse:
         assert not collapses(new_complex(3, [(1,), (2,), (3,)]))
         assert collapses(boundary_of_simplex(2))
         assert not collapses(new_complex(2, [(1, 2)]))
+
+
+class TestShelling:
+    """_shelling_order on its own: every order it returns passes the
+    independent checker, and complexes that are no spheres get none."""
+
+    def test_orders_pass_the_checker(self):
+        rng = random.Random(1974)
+        spheres = [boundary_of_simplex(n) for n in range(1, 6)]
+        for n, m in ((2, 5), (3, 6), (4, 7), (5, 8), (6, 9), (6, 10),
+                     (8, 12), (4, 12)):
+            K = cyclic_polytope_boundary(n, m)
+            spheres += [K, relabelled(K, rng), relabelled(K, rng, 3)]
+        for K in spheres:
+            order = _shelling_order(masks_of(K))
+            assert order is not None and is_shelling(K.facets, order), K
+
+    def test_checker_rejects_swapped_orders(self):
+        # Swapping the first two facets keeps a shelling, since they share
+        # a ridge.  Swapping the j-th facet with a later one that shares no
+        # ridge with the facets before it makes step j fail.
+        rng = random.Random(1971)
+        for n, m in ((3, 6), (4, 7), (6, 9), (6, 10)):
+            K = relabelled(cyclic_polytope_boundary(n, m), rng)
+            facets = [set(f) for f in K.facets]
+            order = _shelling_order(masks_of(K))
+            assert is_shelling(K.facets, order)
+            swapped = [order[1], order[0]] + order[2:]
+            assert is_shelling(K.facets, swapped)
+            rejected = 0
+            for j in range(1, len(order) - 1):
+                later = [k for k in range(j + 1, len(order))
+                         if all(len(facets[order[k]] & facets[i]) < n - 1
+                                for i in order[:j])]
+                if later:
+                    k = rng.choice(later)
+                    swapped = list(order)
+                    swapped[j], swapped[k] = order[k], order[j]
+                    assert not is_shelling(K.facets, swapped), (K, j, k)
+                    rejected += 1
+            assert rejected >= len(order) // 2, K
+
+    def test_no_order_for_non_spheres(self):
+        two_circles = new_complex(6, [(1, 2), (2, 3), (1, 3),
+                                      (4, 5), (5, 6), (4, 6)])
+        # Not pure, though every ridge lies in two facets.
+        circle_and_s0 = new_complex(5, [(1, 2), (2, 3), (1, 3), (4,), (5,)])
+        for K in (RP2, TORUS_7, SUSP_RP2, FIN, CONE_RP2, circle_and_s0,
+                  cone(cyclic_polytope_boundary(4, 7)),
+                  new_complex(3, [(1, 2, 3)]), two_circles,
+                  suspension(TORUS_7), new_complex(1, [(1,)]),
+                  new_complex(3, [(1,), (2,), (3,)]), new_complex(3, [])):
+            assert _shelling_order(masks_of(K)) is None, K
+
+    def test_two_points_shell(self):
+        K = new_complex(2, [(1,), (2,)])
+        assert _shelling_order(masks_of(K)) == [0, 1]
+        cert = is_homology_sphere(K)
+        assert cert.verdict
+        assert cert.settled_by == {"shelling": 1, "collapse": 0,
+                                   "homology": 0}
