@@ -71,6 +71,8 @@ def _scalar_json(x):
 def _key_json(key):
     """A dict key as json writes it: a str quoted as is; a float, int,
     bool or None key as its JSON text, quoted."""
+    if type(key) is int:  # the keys of a certificate's vertex links
+        return f'"{key!r}"'
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):

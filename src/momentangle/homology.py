@@ -8,14 +8,17 @@ failing only yields "unknown" since the criterion is sufficient, not
 necessary.
 
 Every complex of the certificate, the root included, is a list of facet
-bitmasks.  A pure root whose ridges each lie in two facets, and whose
-facets have a shelling order, is a PL sphere (Danaraj and Klee, Duke
-Math. J. 1974); so is every link of it, and every homology condition
-holds.  Otherwise each is discharged by a collapse first: if the complex
-less one top-dimensional facet collapses to a vertex, it is homotopy
-equivalent to a sphere (Whitehead; greedy collapses as in Benedetti and
-Lutz, Exp. Math. 2014).  A failed collapse proves nothing, so only then
-is the homology computed on the link's faces, with its d o d check.
+bitmasks.  Its key is the masks with the holes of their support squeezed
+out, an order-preserving relabelling onto the support by a few shifts,
+and each distinct key is named once.  A pure root whose ridges each lie
+in two facets, and whose facets have a shelling order, is a PL sphere
+(Danaraj and Klee, Duke Math. J. 1974); so is every link of it, and
+every homology condition holds.  Otherwise each is discharged by a
+collapse first: if the complex less one top-dimensional facet collapses
+to a vertex, it is homotopy equivalent to a sphere (Whitehead; greedy
+collapses as in Benedetti and Lutz, Exp. Math. 2014).  A failed collapse
+proves nothing, so only then is the homology computed on the link's
+faces, with its d o d check.
 """
 
 from __future__ import annotations
@@ -126,9 +129,10 @@ def _sphere_homology(dim):
 class SphereCertificate:
     """Recursion trace of the homology-sphere check.
 
-    complexes maps the name of a canonical key (support size, relabeled
-    facets) to a record with the dimension, the homology verdict, and the
-    names of the vertex links, so shared links appear once.
+    complexes maps the name (_key_str) of a key (_canonical_key: facet
+    masks, the holes of their support squeezed out) to a record with the
+    dimension, the homology verdict, and the names of the vertex links, so
+    shared links appear once.
     """
 
     verdict: bool
@@ -155,8 +159,20 @@ class SphereCertificate:
                 "root": self.root, "complexes": self.complexes}
 
 
-def _key_str(key):
-    return f"{key[0]}:" + ";".join(",".join(map(str, f)) for f in key[1])
+def _key_str(key, text):
+    """The name of a _canonical_key: its support size, ":", then its
+    facets as ","-joined labels, ";"-separated in the lexicographic order
+    of the label tuples, which is not the order of the masks.  text maps
+    each squeezed facet mask named so far to its labels as a str of chr,
+    which orders as the tuple does, and to its text."""
+    for f in key:
+        if f not in text:
+            labels = [bit.bit_length() for bit in _bits(f)]
+            text[f] = "".join(map(chr, labels)), ",".join(map(str, labels))
+    facets = sorted([text[f] for f in key])
+    # The support is squeezed onto bits 0, 1, ...: the last mask has its top.
+    return (f"{key[-1].bit_length() if key else 0}:"
+            + ";".join([t for _, t in facets]))
 
 
 def _bits(mask):
@@ -170,17 +186,23 @@ def _bits(mask):
 
 
 def _canonical_key(masks):
-    """(support size, relabeled facets) of the complex whose facets are
-    the nonempty bitmasks masks.  Ghost vertices do not change the space,
-    so key on the relabeled support only; this also makes memoization hit
-    across links."""
+    """The nonempty facet bitmasks masks, ascending, with the holes of
+    their support squeezed out: its i-th vertex becomes bit i - 1.  That
+    keeps the vertex order, so keys are equal exactly when the complexes
+    relabelled onto their supports are; ghost vertices do not change the
+    space, and memoization hits across links."""
     supp = 0
     for f in masks:
         supp |= f
-    label = {bit: i for i, bit in enumerate(_bits(supp), 1)}
-    facets = [tuple([label[bit] for bit in _bits(f)]) for f in masks]
-    facets.sort()
-    return (len(label), tuple(facets))
+    holes = ~supp & (1 << supp.bit_length()) - 1
+    squeezed = masks
+    while holes:  # the highest run of holes first: the lower ones stay put
+        hi = holes.bit_length()
+        lo = (supp & (1 << hi) - 1).bit_length()
+        below = (1 << lo) - 1
+        squeezed = [f & below | f >> hi << lo for f in squeezed]
+        holes &= below
+    return tuple(sorted(squeezed))
 
 
 def _dimension(masks):
@@ -314,6 +336,7 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     """
     memo, table = {}, {}
     names = {}  # key -> _key_str(key), since links recur across parents
+    text = {}  # squeezed facet mask -> its sort key and text, for _key_str
     visited = {}  # vertex set S -> (name of lk_S K, whether it passed)
     settled = {"collapse": 0, "homology": 0}
     stuck = {}  # key -> homology of a complex whose collapse got stuck
@@ -355,7 +378,7 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
                     link = [f ^ bit for f in masks if f & bit and f != bit]
                     link_key = _canonical_key(link)
                     if link_key not in names:
-                        names[link_key] = _key_str(link_key)
+                        names[link_key] = _key_str(link_key, text)
                     visited[sub] = names[link_key], (
                         _dimension(link) == dim - 1
                         and check(link, faces, sub, link_key))
@@ -373,7 +396,7 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
         return ok
 
     root = _canonical_key(masks)
-    names[root] = _key_str(root)
+    names[root] = _key_str(root, text)
     verdict = check(masks, count, 0, root)
     del check  # the closure refers to itself: free its tables on return
     # A root that collapsed is homotopy equivalent to the sphere.

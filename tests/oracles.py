@@ -7,6 +7,8 @@ almost-freeness or a manifold verdict.  They stay here, as the oracles
 the tests already used them as.  The input generators that several test
 files draw from live here too.  is_shelling does not call the package's
 shelling: it checks an order from intersections of facets alone.
+relabel_key is the sphere certificate's key as it was before it squeezed
+facet masks, and key_name formats the names the certificate reports.
 """
 
 from itertools import combinations, product
@@ -93,6 +95,32 @@ def is_shelling(facets, order):
         if not all(any(G <= R for R in ridges) for G in meets):
             return False
     return True
+
+
+def relabel_key(masks):
+    """(support size, facets relabelled onto the support) of the complex
+    with these facet bitmasks: the support's vertices numbered 1, 2, ...
+    in order by a dict, and the label tuples sorted.  Two complexes get
+    one key exactly when an order-preserving relabelling of their
+    supports carries one onto the other."""
+    supp = 0
+    for f in masks:
+        supp |= f
+    label = {}
+    for i in range(supp.bit_length()):
+        if supp >> i & 1:
+            label[i] = len(label) + 1
+    return len(label), tuple(sorted(
+        tuple(label[i] for i in range(f.bit_length()) if f >> i & 1)
+        for f in masks))
+
+
+def key_name(size, facets):
+    """The name the sphere certificate gives a complex with this support
+    size and these facets, as label tuples: the size, ":", then the
+    facets as ","-joined labels, ";"-separated, in lexicographic order."""
+    return f"{size}:" + ";".join(",".join(map(str, f))
+                                 for f in sorted(facets))
 
 
 def random_unimodular(rng, n):

@@ -1,4 +1,5 @@
 import argparse
+import enum
 import errno
 import hashlib
 import json
@@ -200,6 +201,41 @@ class TestCheckManifold:
         assert len(complexes) == 220
         assert all(rec["homology_matches_sphere"]
                    for rec in complexes.values())
+
+    def test_order_preserving_relabelling_keeps_the_report(
+            self, capsys, tmp_path):
+        # Ghost vertices above every label leave the report byte for byte.
+        # Spread over 1..3m in order, K keeps every name, the table's
+        # order and each verdict; only the vertex_links labels move, as
+        # they number K's vertices less the removed ones, ghosts included,
+        # and at the root they move by the relabelling itself.
+        rng = random.Random(20261020)
+        for facets in (cyclic_polytope_boundary(6, 10).facets,
+                       cyclic_polytope_boundary(8, 12).facets, RP2_6,
+                       TORUS_7):
+            m = max(max(f) for f in facets)
+            spread = dict(zip(range(1, m + 1),
+                              sorted(rng.sample(range(1, 3 * m + 1), m))))
+            reports = []
+            for size, fs in ((m, facets), (3 * m, facets),
+                             (3 * m, [[spread[v] for v in f]
+                                      for f in facets])):
+                path = tmp_path / "k.json"
+                path.write_text(json.dumps({"m": size, "facets": fs}))
+                code = main(["check-manifold", "--complex", str(path)])
+                reports.append((code, capsys.readouterr().out))
+            (code, text), ghosts_above, (spread_code, spread_text) = reports
+            assert ghosts_above == (code, text)
+            assert spread_code == code
+            want, got = json.loads(text), json.loads(spread_text)
+            root = want["certificate"]["root"]
+            links = want["certificate"]["complexes"][root]["vertex_links"]
+            assert list(got["certificate"]["complexes"][root][
+                "vertex_links"]) == [str(spread[int(v)]) for v in links]
+            for obj in (want, got):
+                for rec in obj["certificate"]["complexes"].values():
+                    rec["vertex_links"] = list(rec["vertex_links"].values())
+            assert json.dumps(got) == json.dumps(want)
 
     def test_unknown(self, capsys, tmp_path):
         path = tmp_path / "edge.json"
@@ -487,6 +523,15 @@ class TestReportText:
             assert report_text(x) == json.dumps(x, indent=2) + "\n"
 
         check()
+
+    def test_int_like_keys_match_json_dumps(self):
+        # Exact ints take their own path; their subclasses do not.
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        for x in ({Colour.RED: 0}, {True: 1, False: [2]}, {-7: "a"},
+                  {10 ** 99 + 1: {3: 4}}, {0: 1, "0": 2, Colour.RED: 3}):
+            assert report_text(x) == json.dumps(x, indent=2) + "\n"
 
     def test_key_types_json_rejects(self):
         for bad in ({(1, 2): 0}, {"a": {b"k": 0}}):

@@ -12,14 +12,15 @@ import momentangle
 from momentangle.homology import (InternalError, SphereCertificate,
                                   _boundary_columns,
                                   _check_boundary_squared_zero,
-                                  _collapses_off_a_facet, _face_poset,
-                                  _key_str, _shelling_order,
+                                  _canonical_key, _collapses_off_a_facet,
+                                  _face_poset, _key_str, _shelling_order,
                                   homology, is_homology_sphere)
 from momentangle.intlinalg import (IntMatrix, rows_to_bitmasks, rref_mod2,
                                    smith)
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from oracles import is_shelling, link, manifold_verdict, support
+from oracles import (is_shelling, key_name, link, manifold_verdict,
+                     relabel_key, support)
 
 # Minimal 6-vertex triangulation of the real projective plane: the one
 # complex in the suite with integer torsion (H_1 = Z/2).
@@ -146,9 +147,8 @@ def reference_certificate(K, reached=None):
 
     def key_of(L):
         relabel = {v: i + 1 for i, v in enumerate(support(L))}
-        return _key_str((len(relabel),
-                         tuple(sorted(tuple(relabel[v] for v in f)
-                                      for f in L.facets))))
+        return key_name(len(relabel), [tuple(relabel[v] for v in f)
+                                       for f in L.facets])
 
     def check(L, key, S, labels):
         # labels[i] is K's label of L's vertex i + 1, and L = lk_S K.
@@ -196,9 +196,9 @@ def count_keys_and_names(monkeypatch, calls):
         calls["key"] += 1
         return real_key(masks)
 
-    def name(key):
+    def name(key, text):
         calls["name"] += 1
-        return real_name(key)
+        return real_name(key, text)
 
     monkeypatch.setattr(hmod, "_canonical_key", key)
     monkeypatch.setattr(hmod, "_key_str", name)
@@ -520,6 +520,44 @@ class TestSphereCertificate:
         assert obj["verdict"] is True
         assert obj["criterion"] == "recursive-links"
         assert obj["root"] in obj["complexes"]
+
+
+class TestCanonicalKey:
+    def test_squeezed_keys_equal_exactly_when_relabelled_keys_are(
+            self, monkeypatch):
+        # Every link that the certificate keys, on the sphere fixtures and
+        # the two non-spheres, Gale-labelled, relabelled, and relabelled
+        # into 1..3m so that supports have several holes.
+        hmod = sys.modules["momentangle.homology"]
+        reached = []
+
+        def key(masks):
+            reached.append(list(masks))
+            return _canonical_key(masks)
+
+        monkeypatch.setattr(hmod, "_canonical_key", key)
+        rng = random.Random(20261020)
+        fixtures = [RP2, TORUS_7] + [cyclic_polytope_boundary(n, m) for n, m
+                                     in ((4, 12), (5, 10), (6, 9), (6, 10),
+                                         (8, 12))]
+        for K in fixtures:
+            for L in (K, relabelled(K, rng), relabelled(K, rng, 2 * K.m)):
+                is_homology_sphere(L)
+        pairs = {(_canonical_key(masks), relabel_key(masks))
+                 for masks in reached}
+        assert len(pairs) == len(dict(pairs)) == len(
+            {old: new for new, old in pairs})
+        assert ((), (0, ())) in pairs  # the link of a facet
+        text = {}
+        for squeezed, (size, facets) in pairs:
+            assert _key_str(squeezed, text) == key_name(size, facets)
+        assert _key_str((), {}) == "0:"
+
+    def test_masks_kept_in_their_order(self):
+        # The root's masks go on to the shelling in K.facets order.
+        masks = [0b11000, 0b10100, 0b01100]
+        assert _canonical_key(masks) == (0b011, 0b101, 0b110)
+        assert masks == [0b11000, 0b10100, 0b01100]
 
 
 class TestManifoldVerdict:
