@@ -325,22 +325,38 @@ def is_primitive_cols(k, columns):
     sequence) has rank k and all invariant factors 1, that is, iff the
     columns generate Z^k.
 
-    This is the one primitivity test of the package: the rows then span a
-    direct summand, and the torus map the columns define is injective.
-    Bareiss elimination gives the rank over Q and, at rank k, the nonzero
-    minor on its pivot columns; a minor of +-1 answers True at once.
-    Otherwise the columns generate Z^k iff the Hermite normal form of
-    their lattice is I_k.  No Smith form is built.
+    With is_primitive_rows, this is the primitivity test of the package:
+    the rows then span a direct summand, and the torus map the columns
+    define is injective.  Bareiss elimination gives the rank over Q and,
+    at rank k, the nonzero minor on its pivot columns; a minor of +-1
+    answers True at once.  Otherwise the columns generate Z^k iff the
+    Hermite normal form of their lattice is I_k.  No Smith form is built.
     """
     columns = list(columns)
     return _generates(k, *_bareiss(zip(*columns), len(columns)), columns)
 
 
-def is_primitive_rows(A):
-    """True iff the rows span a rank-rows direct summand of Z^cols: the
-    test of is_primitive_cols, with Bareiss run on the rows as they are
-    and the columns built only for the Hermite form."""
-    return _generates(A.rows, *_bareiss(A.data, A.cols), zip(*A.data))
+def is_primitive_rows(rows):
+    """True iff rows, a sequence of k equal-length integer rows, span a
+    rank-k direct summand: the test of is_primitive_cols, with Bareiss
+    run on the rows as they are and the columns built only for the
+    Hermite form.  An exact shortcut comes first: when the columns of
+    the rows' leading entries strictly increase and every leading entry
+    is +-1, the minor on those columns is triangular with a diagonal of
+    +-1, so the rows are primitive with no elimination at all."""
+    last = -1
+    for row in rows:
+        for j, x in enumerate(row):
+            if x:
+                break
+        else:  # a zero row
+            break
+        if j <= last or x not in (1, -1):
+            break
+        last = j
+    else:
+        return True
+    return _generates(len(rows), *_bareiss(rows, len(rows[0])), zip(*rows))
 
 
 def _generates(k, rank, D, columns):

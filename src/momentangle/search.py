@@ -21,7 +21,9 @@ when k exceeds the size of the smallest facet complement, since fewer
 than k columns never generate Z^k.  Results are deduplicated by the
 Hermite normal form of the row lattice, computed on plain rows, so
 GL_k(Z)-equivalent candidates count once.  The result keeps only these
-keys; a lattice's Subtorus, with its checks, is built when it is read.
+keys.  The report checks each key's primitivity on its plain rows as it
+writes the key, with no IntMatrix or Subtorus built; found and tori()
+build each lattice's Subtorus, with its checks, when they are read.
 The HNF stops at the k-th pivot, so it is U A for a unimodular U fixed
 by the columns up to that pivot; exhaustive mode reads U off the HNF of
 [A | I_k] at one leaf and keys every following leaf that shares those
@@ -53,7 +55,8 @@ from itertools import product
 from math import factorial
 from typing import ClassVar, Optional
 
-from .intlinalg import IntMatrix, hermite_normal_form_rows
+from .intlinalg import (IntMatrix, InternalError, hermite_normal_form_rows,
+                        is_primitive_rows)
 from .simplicial import SimplicialComplex
 from .torus import FreenessTest, PreconditionError, Subtorus
 
@@ -115,7 +118,8 @@ class SearchConfig:
 class SearchResult:
     """The lattices found, kept as their HNF row keys in discovery order.
     found and tori() build each one's canonical Subtorus, with its
-    checks, on every read: read found once and keep the list."""
+    checks, on every read: read found once and keep the list.  The
+    report checks each key on its plain rows instead."""
 
     m: int
     keys: dict = field(default_factory=dict)   # HNF rows -> None
@@ -132,13 +136,23 @@ class SearchResult:
         return list(self.tori())
 
     def to_json(self, stream=False):
-        """The report; with stream, "found" is an iterator that builds
-        each lattice's Subtorus as it is drawn."""
-        found = (T.to_json() for T in self.tori())
+        """The report; with stream, "found" is an iterator that checks
+        each lattice and gives its record as it is drawn.  A key that is
+        not primitive is an InternalError: the search keys only
+        candidates whose columns generate Z^k."""
+        found = self._records()
         return {"found": found if stream else list(found),
                 "explored": self.explored,
                 "complete_candidates": self.complete_candidates,
                 "note": self.note}
+
+    def _records(self):
+        """Each key's Subtorus.to_json record, from its plain rows."""
+        m = self.m
+        for key in self.keys:
+            if not is_primitive_rows(key):
+                raise InternalError(f"found lattice {key} is not primitive")
+            yield {"m": m, "rows": [list(row) for row in key]}
 
 
 def _draws(rng, entries, count):

@@ -33,7 +33,7 @@ class Subtorus:
     matrix: IntMatrix
 
     def __post_init__(self):
-        if not is_primitive_rows(self.matrix):
+        if not is_primitive_rows(self.matrix.data):
             raise ValueError(
                 "rows must be a primitive full-rank lattice basis")
 
@@ -372,7 +372,7 @@ def quotient_projection(T: Subtorus) -> IntMatrix:
     theta = kernel_lattice(T.matrix)
     if not (theta @ T.matrix.transpose()).is_zero():
         raise InternalError("quotient projection does not kill the torus")
-    if not is_primitive_rows(theta):
+    if not is_primitive_rows(theta.data):
         raise InternalError("quotient projection rows are not primitive")
     if not row_lattice_equal(kernel_lattice(theta), T.matrix):
         raise InternalError("quotient projection kernel is not the torus")

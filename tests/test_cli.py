@@ -21,8 +21,7 @@ from momentangle.cli import main
 from momentangle.intlinalg import IntMatrix, InternalError
 from momentangle.search import SearchConfig, search_free
 from momentangle.simplicial import boundary_of_simplex, cyclic_polytope_boundary
-from momentangle.torus import (Subtorus, cyclic69_free_subtorus,
-                               cyclic69_quotient_matrix)
+from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
 
 
 # The 6-vertex real projective plane and the 7-vertex torus: no spheres.
@@ -399,18 +398,42 @@ class TestSearchFree:
 
     def test_each_lattice_is_checked_once(self, capsys, c69_file,
                                           monkeypatch):
-        # Every emitted lattice passes the Subtorus check exactly once.
-        built = []
-        post_init = Subtorus.__post_init__
+        # Every emitted lattice passes the primitivity check exactly
+        # once, on its plain rows.
+        checked = []
+        real = momentangle.search.is_primitive_rows
 
-        def counted(T):
-            built.append(None)
-            post_init(T)
+        def counted(rows):
+            checked.append(rows)
+            return real(rows)
 
-        monkeypatch.setattr(Subtorus, "__post_init__", counted)
+        monkeypatch.setattr(momentangle.search, "is_primitive_rows", counted)
         assert main(["search-free", "--complex", c69_file, "--k", "2"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["found"]) == 2223
-        assert len(built) == 2223
+        found = json.loads(capsys.readouterr().out)["found"]
+        assert len(found) == 2223
+        assert [list(map(list, rows)) for rows in checked] == [
+            T["rows"] for T in found]
+
+    def test_unprimitive_found_lattice_is_internal_error(
+            self, capsys, tmp_path, c69_file, monkeypatch):
+        # A found key that is not primitive is a fault of the search, not
+        # of the input: exit 3, and --json-out keeps its old bytes.
+        def searched(K, cfg):
+            res = search_free(K, cfg)
+            res.keys[((2,) + (0,) * 8, (0, 1) + (0,) * 7)] = None
+            return res
+
+        monkeypatch.setattr(cli, "search_free", searched)
+        target = tmp_path / "out.json"
+        target.write_text("old report\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["--json-out", str(target), "search-free",
+                     "--complex", c69_file, "--k", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: InternalError: found lattice" in err
+        assert "input error" not in err
+        assert target.read_text() == "old report\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_negative_k_is_input_error(self, capsys, tmp_path):
         cpath = tmp_path / "tri.json"
@@ -533,6 +556,56 @@ class TestReportText:
                   {10 ** 99 + 1: {3: 4}}, {0: 1, "0": 2, Colour.RED: 3}):
             assert report_text(x) == json.dumps(x, indent=2) + "\n"
 
+    def test_records_match_json_dumps(self, monkeypatch):
+        # Lists of int records are written from templates.  Odd keys,
+        # bools and IntEnums among the ints, empty dicts, empty and ragged
+        # rows, mixed shapes and records after a non-record keep json's
+        # bytes, at every nesting level.
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        rng = random.Random(20261020)
+        keys = ["m", "rows", "a{b}", "{}", "{0}", "}{", "{{", 'q"uote',
+                "caf\u00e9", "\u2028", "\U0001f600", "", "x\\y"]
+        ints = [0, 1, -1, 7, -10 ** 30]
+        odd = [True, False, Level.LOW, 2.5, None, "s"]
+
+        def scalar():
+            return rng.choice(odd if rng.random() < 0.05 else ints)
+
+        def rows():
+            width = rng.randint(0, 4)
+            M = [[scalar() for _ in range(width)]
+                 for _ in range(rng.randint(0, 3))]
+            if M and rng.random() < 0.1:  # ragged
+                rng.choice(M).append(scalar())
+            return M
+
+        def item():
+            u = rng.random()
+            if u < 0.05:
+                return {}
+            if u < 0.1:  # not a record
+                return rng.choice([[1, 2], 3, "t", [{"m": 1}], (1,)])
+            return {rng.choice(keys): scalar() if rng.random() < 0.5
+                    else rows() for _ in range(rng.randint(1, 3))}
+
+        real, templated = cli._record_text, []
+
+        def counted(x, newline, templates):
+            text = real(x, newline, templates)
+            templated.append(text is not None)
+            return text
+
+        monkeypatch.setattr(cli, "_record_text", counted)
+        for _ in range(400):
+            items = [item() for _ in range(rng.randint(0, 6))]
+            want = json.dumps({"found": items, "x": [items]}, indent=2)
+            for found in (items, iter(items)):
+                assert report_text({"found": found, "x": [items]}) == (
+                    want + "\n"), items
+        assert set(templated) == {True, False}
+
     def test_key_types_json_rejects(self):
         for bad in ({(1, 2): 0}, {"a": {b"k": 0}}):
             with pytest.raises(TypeError):
@@ -550,17 +623,18 @@ class TestReportText:
                     == json.dumps(res.to_json(), indent=2) + "\n")
 
     def test_report_is_passed_on_in_bounded_chunks(self):
-        # A chunk is 1,024 parts, each one scalar line or one list of
-        # ints, or the line break before a list: 20 chunks for the 20,013
-        # parts (724 KB) of the k = 2 report on C6(9), and 7 for the 3,250
-        # facets (228 KB) of C6(30).
+        # A chunk is passed on once its parts reach 32,768 characters,
+        # and a part is one lattice, one list of ints or a dict's text up
+        # to a value that is not a scalar: 22 chunks for the 723,846 characters of the k = 2 report on
+        # C6(9), and 7 for the 228,182 of the 3,250 facets of C6(30).
         res = search_free(cyclic_polytope_boundary(6, 9),
                           SearchConfig(k=2, entry_set=(0, 1)))
-        for payload, count in ((res.to_json(stream=True), 20),
+        for payload, count in ((res.to_json(stream=True), 22),
                                (cyclic_polytope_boundary(6, 30).to_json(),
                                 7)):
             chunks = report_chunks(payload)
-            assert count <= len(chunks) <= count + 1
+            assert len(chunks) == count
+            assert min(map(len, chunks[:-1])) >= 32_768
             assert max(map(len, chunks)) < 64_000
 
     def test_every_subcommand(self, capsys, tmp_path, c69_file, torus_file,
@@ -726,19 +800,19 @@ class TestGlobalFlags:
         target = tmp_path / "out.json"
         target.write_text("old report\n")
         before = sorted(os.listdir(tmp_path))
-        to_json = Subtorus.to_json
+        real = momentangle.search.is_primitive_rows
         calls, partial_sizes = [], []
 
-        def failing(T):
+        def failing(rows):
             calls.append(None)
             if len(calls) == 2000:
                 partial_sizes.extend(
                     p.stat().st_size for p in tmp_path.iterdir()
                     if p.name.startswith("out.json."))
                 raise RuntimeError("disk gone")
-            return to_json(T)
+            return real(rows)
 
-        monkeypatch.setattr(Subtorus, "to_json", failing)
+        monkeypatch.setattr(momentangle.search, "is_primitive_rows", failing)
         assert main(["--json-out", str(target), "search-free",
                      "--complex", c69_file, "--k", "2"]) == 3
         assert "internal error: RuntimeError: disk gone" in (

@@ -254,7 +254,7 @@ class TestKernel:
             assert ker.rows == A.cols - rank_rational(A)
             assert (A @ ker.transpose()).is_zero()
             if ker.rows:
-                assert is_primitive_rows(ker)
+                assert is_primitive_rows(ker.data)
 
 
     def test_sympy_cross_check(self):
@@ -274,7 +274,7 @@ class TestKernel:
             assert ker.rows == c - S.rank(), rows
             assert (A @ ker.transpose()).is_zero()
             if ker.rows:
-                assert is_primitive_rows(ker)
+                assert is_primitive_rows(ker.data)
                 # Every rational null vector lies in the span of ker.
                 span = sympy.Matrix(ker.data)
                 for v in S.nullspace():
@@ -283,13 +283,13 @@ class TestKernel:
 
 class TestPrimitive:
     def test_unit_row(self):
-        assert is_primitive_rows(IntMatrix([[1, 0]]))
+        assert is_primitive_rows([[1, 0]])
 
     def test_scaled_row(self):
-        assert not is_primitive_rows(IntMatrix([[2, 0]]))
+        assert not is_primitive_rows([[2, 0]])
 
     def test_rank_deficient(self):
-        assert not is_primitive_rows(IntMatrix([[1, 1], [2, 2]]))
+        assert not is_primitive_rows([[1, 1], [2, 2]])
 
     @staticmethod
     def smith_reference(A):
@@ -298,7 +298,7 @@ class TestPrimitive:
 
     def check(self, A):
         want = self.smith_reference(A)
-        assert is_primitive_rows(A) == want, A
+        assert is_primitive_rows(A.data) == want, A
         assert is_primitive_cols(A.rows, A.transpose().data) == want, A
 
     def test_edge_shapes_against_smith(self):
@@ -343,11 +343,80 @@ class TestPrimitive:
             A = random_matrix(rng, rows, cols, -6, 6)
             want = self.smith_reference(A)
             before = len(fallbacks)
-            assert is_primitive_rows(A) == want, A
+            assert is_primitive_rows(A.data) == want, A
             if len(fallbacks) > before:
                 answers.setdefault((rows, cols), set()).add(want)
             assert is_primitive_cols(A.rows, zip(*A.data)) == want, A
         assert answers == {(2, 5): {True, False}, (3, 6): {True, False}}
+
+    def test_leading_unit_shortcut_against_bareiss_route(self,
+                                                         monkeypatch):
+        # is_primitive_rows answers with no elimination when the leading
+        # entries are +-1 in strictly increasing columns.  Each answer is
+        # that of the Bareiss-then-HNF route, on random rows and on
+        # echelon rows with a non-unit pivot, equal leading columns or a
+        # zero row.
+        bareiss = intlinalg._bareiss
+        hermite = intlinalg.hermite_normal_form_rows
+        routes = []
+
+        def bareiss_route(rows, cols):
+            return intlinalg._generates(len(rows), *bareiss(rows, cols),
+                                        zip(*rows))
+
+        def eliminating(rows, ncols):
+            routes.append("bareiss")
+            return bareiss(rows, ncols)
+
+        def hermite_form(rows):
+            routes.append("hnf")
+            return hermite(rows)
+
+        monkeypatch.setattr(intlinalg, "_bareiss", eliminating)
+        monkeypatch.setattr(intlinalg, "hermite_normal_form_rows",
+                            hermite_form)
+        rng = random.Random(5150)
+        cases = []
+        for _ in range(300):
+            k, cols = rng.randint(0, 4), rng.randint(0, 6)
+            cases.append(([[rng.randint(-2, 2) for _ in range(cols)]
+                           for _ in range(k)], cols))
+        for _ in range(600):
+            k, cols = rng.randint(1, 4), rng.randint(4, 7)
+            leads = sorted(rng.sample(range(cols), k))
+            shape = rng.randrange(4)
+            if shape == 1 and k > 1:    # two rows lead in one column
+                i = rng.randrange(k - 1)
+                leads[i + 1] = leads[i]
+            rows = []
+            for lead in leads:
+                pivot = rng.choice((1, -1))
+                if shape == 2 and rng.random() < 0.5:   # a non-unit pivot
+                    pivot = rng.choice((2, -2, 3, 6))
+                rows.append([0] * lead + [pivot] + [
+                    rng.randint(-3, 3) for _ in range(cols - lead - 1)])
+            if shape == 3:    # a zero row
+                rows[rng.randrange(k)] = [0] * cols
+            cases.append((rows, cols))
+        # Only the HNF finds these primitive: their pivot minors are 2.
+        cases += [([[2, 3]], 2), ([[1, 0, 2], [0, 2, 1]], 3)]
+        taken = defaultdict(set)
+        for rows, cols in cases:
+            del routes[:]
+            got = is_primitive_rows(rows)
+            route = tuple(routes)
+            want = bareiss_route(rows, cols)
+            assert got == want, rows
+            assert got == self.smith_reference(
+                IntMatrix(rows, rows=len(rows), cols=cols)), rows
+            taken[route].add(got)
+        assert taken[()] == {True}
+        assert taken[("bareiss",)] == {True, False}
+        assert taken[("bareiss", "hnf")] == {True, False}
+        for rows, cols in cases[-2:]:
+            del routes[:]
+            assert is_primitive_rows(rows)
+            assert routes == ["bareiss", "hnf"]
 
     def test_depends_only_on_distinct_columns(self):
         # The search memoizes is_primitive_cols on the set of distinct columns.
@@ -395,7 +464,7 @@ class TestPrimitive:
                               rows=k, cols=len(cols))
                 want = self.smith_reference(A)
                 assert is_primitive_cols(k, cols) == want, (k, cols)
-                assert is_primitive_rows(A) == want, (k, cols)
+                assert is_primitive_rows(A.data) == want, (k, cols)
                 answers.add(want)
             assert answers == {True, False}, (lo, hi)
         # Rank k with a pivot minor that is not a unit: the HNF answers,
@@ -413,7 +482,7 @@ class TestPrimitive:
             assert abs(det(IntMatrix(cols[:k]))) != 1, cols
             assert self.smith_reference(A) == want, cols
             assert is_primitive_cols(k, cols) == want, cols
-            assert is_primitive_rows(A) == want, cols
+            assert is_primitive_rows(A.data) == want, cols
 
     def test_unimodular_columns_against_smith(self):
         # Columns of G @ [I | X] with G unimodular generate Z^k however

@@ -438,7 +438,7 @@ class TestQuotientProjection:
                 for _ in range(30):
                     A = IntMatrix([[rng.randint(-3, 3) for _ in range(m)]
                                    for _ in range(k)], rows=k, cols=m)
-                    if is_primitive_rows(A):
+                    if is_primitive_rows(A.data):
                         T = Subtorus(A)
                         assert (quotient_projection(T)
                                 == completion_quotient_projection(T)), A
