@@ -20,15 +20,17 @@ the row space of theta mod 2, from one reduction (_generator_classes):
 Ring arithmetic is degree-wise GF(2) linear algebra over monomial bases.
 The linear relations are eliminated up front, so only m - n free
 generators remain.  Each monomial is packed into one int, so a product of
-monomials is one integer addition, and a reduction XORs in one ideal row
-per pivot bit set in its input.
+monomials is one integer addition.  Each degree is built from the basis
+of the degree below, so its cost follows the size of the answer, not the
+number of monomials, and a reduction XORs in one memoised normal form per
+monomial of its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 from .intlinalg import (AbelianGroupPresentation, IntMatrix, cokernel,
                         rows_to_bitmasks, rref_mod2)
@@ -105,10 +107,13 @@ def w2_of_quotient(theta: IntMatrix):
 
 # A polynomial over GF(2) in the free generators is a frozenset of packed
 # monomials; addition is symmetric difference.  A packed monomial is one
-# int whose bits [w*i, w*(i+1)) hold the exponent of free generator i.
-# The ring sizes w so that no product it forms carries from one field into
-# the next, so the product of two monomials is their sum and distinct
-# monomials are distinct ints.
+# int whose w-bit fields hold the exponents of the free generators, the
+# first generator in the highest field.  The ring sizes w so that no
+# product it forms carries from one field into the next, so the product
+# of two monomials is their sum and distinct monomials are distinct ints.
+# Comparing two packed monomials of one degree compares their exponents
+# of the first generator first, so descending ints are
+# combinations_with_replacement order.
 
 def _poly_mul(p, q):
     # For a fixed a the sums a + b are distinct, so each row of products
@@ -126,15 +131,35 @@ class GradedMod2Ring:
     covers; internally everything is indexed by algebraic degree (number
     of v-factors) and scaled on output.
 
-    Every facet is nonsingular mod 2, so the linear forms are a linear
-    system of parameters and the ring is spanned by face monomials: it
-    vanishes above algebraic degree n (Stanley, Combinatorics and
-    Commutative Algebra, ch. III).  The constructor builds the tables of
-    degrees 0..top in order, top the largest with a nonzero piece.
+    Monomials in the free generators are compared in
+    combinations_with_replacement order, a monomial order on each degree,
+    and the leading term of a polynomial is its latest monomial.  The
+    basis of degree t is the monomials that are not the leading term of
+    any degree-t element of the ideal, and every monomial has one normal
+    form in it.  A divisor of a basis monomial is a basis
+    monomial, so degree t is spanned by the products u b of a free
+    generator u and a basis monomial b of degree t - 1; every other
+    monomial x is u nf(x / u) modulo the ideal.  The constructor
+    eliminates, on those products only, the commutators
+    u_i nf(u_j y) - u_j nf(u_i y) for y in the basis of degree t - 2 and
+    the minimal non-face relations of degree t, each rewritten into
+    products.  These span the ideal there, so the basis and every normal
+    form are the ones of an elimination over all monomials of degree t
+    (Mourrain, AAECC-13, LNCS 1719, 1999).
+
+    The ring vanishes in degree n + 1 iff theta mod 2 is nonsingular on
+    every facet: then it is spanned by face monomials (Stanley,
+    Combinatorics and Commutative Algebra, ch. III), and otherwise it
+    maps onto a polynomial ring on a singular facet.  So the constructor
+    builds degrees 0..n + 1 and stops at the first zero piece; top is
+    the last nonzero one.
     """
 
     def __init__(self, K: SimplicialComplex, lam_mod2: IntMatrix,
                  generator_degree: int = 2):
+        if type(generator_degree) is not int:
+            raise TypeError(f"generator degree {generator_degree!r} is not "
+                            "an exact integer")
         if generator_degree not in (1, 2):
             raise ValueError("generator degree must be 1 or 2")
         if lam_mod2.cols != K.m:
@@ -147,63 +172,157 @@ class GradedMod2Ring:
         basis, classes = _generator_classes(lam_mod2)
         if len(basis) != K.m - n:
             raise ValueError("linear forms are not independent mod 2")
-        # Gale duality: the columns on sigma have rank n mod 2 iff the
-        # classes of the generators outside sigma span the quotient.
-        for sigma, comp in zip(K.facets, K.facet_complements()):
-            r, _ = rref_mod2([classes[v - 1] for v in comp])
-            if len(r) != K.m - n:
-                raise ValueError(
-                    f"not characteristic mod 2: facet {sigma} is singular")
 
         self.generator_degree = generator_degree
         # A product of two classes has degree at most 2n and a minimal
         # non-face at most n + 1 vertices; no exponent exceeds that.
         width = max(2 * n, n + 1).bit_length()
         self._width = width
-        self._units = [1 << (width * i) for i in range(len(basis))]
+        k = len(basis)
+        self._units = [1 << (width * (k - 1 - i)) for i in range(k)]
 
         # Substitution: generator -> sum of free generators.
         self._subst = [frozenset(u for j, u in zip(basis, self._units)
                                  if (cls >> j) & 1) for cls in classes]
 
-        relations = []
+        relations = {}
         for nonface in K.minimal_nonfaces():
             poly = frozenset({0})
             for v in nonface:
                 poly = _poly_mul(poly, self._subst[v - 1])
             if poly:
-                relations.append((len(nonface), poly))
+                relations.setdefault(len(nonface), []).append(poly)
 
-        # The table of degree t is (monomials, index, pivot rows, pivot
-        # mask, basis).  The monomials are in combinations_with_replacement
-        # order and index maps each to its bit; the pivot rows of the
-        # ideal are keyed by their pivot bit, and the basis is the
-        # non-pivot monomials.  The relations of degree t are multiples
-        # of monomials of lower degree, whose tables come first.
-        self._tables = []
-        for t in range(n + 1):
-            monos = [sum(combo) for combo
-                     in combinations_with_replacement(self._units, t)]
-            index = {mono: i for i, mono in enumerate(monos)}
-            ideal_rows = []
-            for deg, poly in relations:
-                if deg > t:
-                    continue
-                for mono in self._tables[t - deg][0]:
-                    row = 0
-                    for r in poly:
-                        row |= 1 << index[mono + r]
-                    ideal_rows.append(row)
-            rows, pivots = rref_mod2(ideal_rows)
-            pivot_row = {1 << p: row for row, p in zip(rows, pivots)}
-            pivot_mask = sum(pivot_row)
-            basis = [mono for i, mono in enumerate(monos)
-                     if not (pivot_mask >> i) & 1]
-            # The ring is generated in degree 1: above a zero piece, zeros.
-            if not basis:
+        # _bases[t] lists the basis of degree t in
+        # combinations_with_replacement order.  _forms[t] maps a monomial
+        # of degree t to its normal form, a mask whose bit i stands for
+        # _bases[t][i]; it holds every product u b and, once reduced, any
+        # other monomial.
+        self._bases = [[0]]
+        self._forms = [{0: 1}]
+        for t in range(1, n + 2):
+            if not self._add_degree(relations.get(t, ())):
                 break
-            self._tables.append((monos, index, pivot_row, pivot_mask, basis))
-        self.top = len(self._tables) - 1
+        else:
+            raise ValueError("not characteristic mod 2: facet "
+                             f"{_first_singular_facet(K, classes)} is "
+                             "singular")
+        self.top = len(self._bases) - 1
+
+    def _add_degree(self, relations):
+        """Build the basis and the product normal forms of the next
+        degree; False if that piece is zero."""
+        t = len(self._bases)
+        prev, prev_forms = self._bases[t - 1], self._forms[t - 1]
+        products = sorted({u + b for u in self._units for b in prev},
+                          reverse=True)
+        column = {mono: 1 << i for i, mono in enumerate(products)}
+        # lifts[u][i] is the column of u * prev[i].
+        lifts = {u: [column[u + b] for b in prev] for u in self._units}
+
+        def lift(u, form):
+            row = 0
+            lifted = lifts[u]
+            while form:
+                low = form & -form
+                row ^= lifted[low.bit_length() - 1]
+                form ^= low
+            return row
+
+        rows = []
+        if t >= 2:
+            # Two products of basis monomials commute as they stand.
+            in_basis = set(prev)
+            for y in self._bases[t - 2]:
+                forms = [(u, prev_forms[u + y], u + y in in_basis)
+                         for u in self._units]
+                for (ui, fi, bi), (uj, fj, bj) in combinations(forms, 2):
+                    if not (bi and bj):
+                        row = lift(ui, fj) ^ lift(uj, fi)
+                        if row:
+                            rows.append(row)
+        for poly in relations:
+            row = 0
+            for mono in poly:
+                u = self._lowest_unit(mono)
+                row ^= lift(u, self._normal_form(mono - u, t - 1))
+            rows.append(row)
+        # The highest bit is the latest product in
+        # combinations_with_replacement order, the leading term.
+        rows, pivots = rref_mod2(rows)
+        if len(pivots) == len(products):
+            return False
+        pivot_set = set(pivots)
+        basis, bit = [], {}
+        for i, mono in enumerate(products):
+            if i not in pivot_set:
+                bit[i] = 1 << len(basis)
+                basis.append(mono)
+        forms = {products[i]: b for i, b in bit.items()}
+        for row, p in zip(rows, pivots):
+            row ^= 1 << p
+            form = 0
+            while row:
+                low = row & -row
+                form |= bit[low.bit_length() - 1]
+                row ^= low
+            forms[products[p]] = form
+        self._bases.append(basis)
+        self._forms.append(forms)
+        return True
+
+    def _lowest_unit(self, mono):
+        """A free generator dividing a monomial of positive degree."""
+        w = self._width
+        return 1 << ((mono & -mono).bit_length() - 1) // w * w
+
+    def _normal_form(self, mono, t):
+        """Normal form of a packed monomial of degree t <= top, as
+        u nf(x / u) summed over products u b, memoised.  An int that is
+        no monomial of degree t ends its descent at degree 0 with a
+        nonzero rest, or earlier at zero or past the last field, and
+        nothing is memoised for it."""
+        forms = self._forms[t]
+        form = forms.get(mono)
+        if form is None:
+            low = mono & -mono
+            if not t or not low or low >> self._width * len(self._units):
+                raise ValueError("polynomial is not homogeneous of degree t")
+            u = self._lowest_unit(mono)
+            rest = self._normal_form(mono - u, t - 1)
+            prev = self._bases[t - 1]
+            form = 0
+            while rest:
+                low = rest & -rest
+                form ^= forms[u + prev[low.bit_length() - 1]]
+                rest ^= low
+            forms[mono] = form
+        return form
+
+    def _reduce_monomials(self, monos, t):
+        """The class of a sum of degree-t monomials, each counted with
+        its multiplicity mod 2, as a frozenset of basis monomials."""
+        if not 0 <= t <= self.top:
+            if t < 0 or any(self._mono_degree(mono) != t for mono in monos):
+                raise ValueError("polynomial is not homogeneous of degree t")
+            return frozenset()
+        forms = self._forms[t]
+        mask = 0
+        for mono in monos:
+            try:
+                mask ^= forms[mono]
+            except (KeyError, TypeError):
+                if type(mono) is not int:
+                    raise ValueError("polynomial is not homogeneous of "
+                                     "degree t") from None
+                mask ^= self._normal_form(mono, t)
+        basis = self._bases[t]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(basis[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     @cached_property
     def _sw_pieces(self):
@@ -223,50 +342,26 @@ class GradedMod2Ring:
     def _basis(self, t):
         if t < 0:
             raise ValueError("degree must be non-negative")
-        return self._tables[t][4] if t <= self.top else []
+        return self._bases[t] if t <= self.top else []
 
     def dim(self, t):
         """Dimension of the algebraic-degree-t graded piece."""
         return len(self._basis(t))
 
     def basis(self, t):
-        """Monomial basis of degree t: the monomials that are not pivots
-        of the ideal, as packed ints (opaque; compare them only with
-        other monomials of this ring), in combinations_with_replacement
-        order of exponents."""
+        """Monomial basis of degree t: the monomials that are not leading
+        terms of the ideal, as packed ints (opaque; compare them only
+        with other monomials of this ring), in
+        combinations_with_replacement order of exponents."""
         return list(self._basis(t))
 
     def reduce(self, poly, t):
         """Canonical representative of a degree-t polynomial mod the ideal."""
-        if not 0 <= t <= self.top:
-            if t < 0 or any(self._mono_degree(mono) != t for mono in poly):
-                raise ValueError("polynomial is not homogeneous of degree t")
-            return frozenset()
-        monos, index, pivot_row, pivot_mask, _ = self._tables[t]
-        mask = 0
-        try:
-            for mono in poly:
-                mask |= 1 << index[mono]
-        except (KeyError, TypeError):
-            raise ValueError(
-                "polynomial is not homogeneous of degree t") from None
-        # The pivot rows are fully reduced, so XORing the row of each
-        # pivot bit set in the input clears every pivot bit in one pass.
-        hit = mask & pivot_mask
-        while hit:
-            low = hit & -hit
-            mask ^= pivot_row[low]
-            hit ^= low
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(monos[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return self._reduce_monomials(poly, t)
 
     def multiply(self, p, tp, q, tq):
         """Product of reduced classes, reduced in degree tp + tq."""
-        return self.reduce(_poly_mul(p, q), tp + tq)
+        return self._reduce_monomials([a + b for a in p for b in q], tp + tq)
 
     def coords(self, poly, t):
         return tuple(int(mono in poly) for mono in self._basis(t))
@@ -278,6 +373,16 @@ class GradedMod2Ring:
             raise ValueError("no fundamental class: top degree dimension "
                              f"is {self.dim(self.top)}")
         return 1 if poly else 0
+
+
+def _first_singular_facet(K: SimplicialComplex, classes):
+    """The first facet on which theta mod 2 is singular.  By Gale duality
+    the columns on sigma have rank n mod 2 iff the classes of the
+    generators outside sigma span the quotient."""
+    rank = K.m - K.dimension - 1
+    return next(sigma for sigma, comp
+                in zip(K.facets, K.facet_complements())
+                if len(rref_mod2([classes[v - 1] for v in comp])[0]) != rank)
 
 
 def face_ring_mod2(K: SimplicialComplex, lam_mod2: IntMatrix,

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -180,6 +181,18 @@ class TestFaceRing:
         K = new_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(ValueError, match=r"facet \(1, 4\)"):
             face_ring_mod2(K, IntMatrix([[1, 0, 1, 3], [0, 1, 1, 2]]))
+
+    def test_generator_degree_is_an_exact_int(self):
+        # 2.0 == 2 and True == 1 would pass a membership test and then
+        # name the classes "w4.0" or "degree 4.0".
+        K = boundary_of_simplex(2)
+        lam = IntMatrix([[1, 0, 1], [0, 1, 1]])
+        for degree in (2.0, True):
+            with pytest.raises(TypeError, match="generator degree"):
+                face_ring_mod2(K, lam, generator_degree=degree)
+        with pytest.raises(ValueError, match="generator degree"):
+            face_ring_mod2(K, lam, generator_degree=3)
+        assert face_ring_mod2(K, lam, generator_degree=1).generator_degree == 1
 
     def test_non_pure_rejected(self):
         K = new_complex(3, [(1, 2), (3,)])
@@ -440,15 +453,62 @@ DIFFERENTIAL_CASES = (
        ("rp1x6", (1,) * 6, 1), ("square", None, 2)])
 
 
-@pytest.mark.parametrize("label, exponents, gdeg", DIFFERENTIAL_CASES,
-                         ids=[c[0] for c in DIFFERENTIAL_CASES])
-def test_packed_ring_matches_tuple_ring(label, exponents, gdeg):
+def relabel_vertices(K, lam, rng):
+    """K and lam under a random permutation of the vertex labels, so the
+    pivots of lam mod 2, and with them the free generators, move."""
+    perm = list(range(1, K.m + 1))
+    rng.shuffle(perm)
+    facets = [tuple(perm[v - 1] for v in f) for f in K.facets]
+    data = [[0] * K.m for _ in range(lam.rows)]
+    for old, new in zip(lam.data, data):
+        for j, a in enumerate(old):
+            new[perm[j] - 1] = a
+    return new_complex(K.m, facets), IntMatrix(data)
+
+
+def bott_tower(exponents, lam, rng):
+    """lam of a product of projective spaces with seeded entries in the
+    last column of each block, on the rows of the blocks before it.  On
+    every facet the matrix is block triangular with the blocks of the
+    product on its diagonal, so it stays characteristic, but its face
+    ring mod 2 is no longer a product of truncated polynomial rings:
+    normal forms have several terms."""
+    data = [list(row) for row in lam.data]
+    column = row = 0
+    for a in exponents:
+        for r in range(row):
+            data[r][column + a] = rng.randint(-1, 1)
+        column += a + 1
+        row += a
+    return IntMatrix(data)
+
+
+def differential_inputs(label, exponents):
+    """The seeded GL twist of a DIFFERENTIAL_CASES input, the same under
+    a seeded vertex relabelling and, for a product of two or more
+    projective spaces of total dimension n < 10, a seeded Bott tower on
+    the same complex (at n = 10 the tuple ring's Macaulay matrices, up to
+    degree 2n + 2, take it 7 s)."""
     if exponents is None:
         K, lam = square_ring_input()
     else:
         K, lam = projective_product(exponents)
     rng = random.Random(f"twist:{label}")
-    lam = random_unimodular(rng, lam.rows) @ lam
+    twisted = random_unimodular(rng, lam.rows) @ lam
+    inputs = [(K, twisted), relabel_vertices(K, twisted, rng)]
+    if exponents is not None and len(exponents) > 1 and sum(exponents) < 10:
+        inputs.append((K, bott_tower(exponents, lam, rng)))
+    return inputs
+
+
+@pytest.mark.parametrize("label, exponents, gdeg", DIFFERENTIAL_CASES,
+                         ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_packed_ring_matches_tuple_ring(label, exponents, gdeg):
+    for K, lam in differential_inputs(label, exponents):
+        assert_packed_ring_matches_tuple_ring(K, lam, gdeg)
+
+
+def assert_packed_ring_matches_tuple_ring(K, lam, gdeg):
     R = face_ring_mod2(K, lam, generator_degree=gdeg)
     O = TupleRing(K, lam)
     n = O.n
@@ -469,11 +529,53 @@ def test_packed_ring_matches_tuple_ring(label, exponents, gdeg):
                 want = O.coords(O.reduce_monomial(mono), i + j)
                 assert got == want, (i, j)
 
+    # Every monomial of degree at most n, most of which are no product of
+    # a generator and a basis monomial: their normal forms are memoised
+    # as they are met, so a fresh ring meets them in reverse order too.
+    gens = R.basis(1)
+    assert len(gens) == O.nfree
+    monos = [(t, e, sum(k * g for k, g in zip(e, gens)))
+             for t in range(n + 1) for e in O.monomials(t)]
+    classes = [R.reduce(frozenset({mono}), t) for t, _, mono in monos]
+    for (t, e, _), got in zip(monos, classes):
+        assert R.coords(got, t) == O.coords(O.reduce_monomial(e), t), e
+    fresh = face_ring_mod2(K, lam, generator_degree=gdeg)
+    assert [fresh.reduce(frozenset({mono}), t)
+            for t, _, mono in reversed(monos)] == classes[::-1]
+
     classes = total_sw_class(R)
     want = O.total_class()
     assert [c.coords for c in classes] == [O.coords(p, j)
                                            for j, p in enumerate(want)]
     assert sw_numbers(R) == O.sw_numbers(gdeg)
+
+
+def h_vector(K):
+    """h_0..h_n of K, n = dim K + 1, from its f-vector alone."""
+    n = K.dimension + 1
+    f = (1,) + K.f_vector()
+    return [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i]
+                for i in range(k + 1)) for k in range(n + 1)]
+
+
+H_VECTOR_CASES = DIFFERENTIAL_CASES + [("cp9", (9,), 2), ("cp10", (10,), 2)]
+
+
+@pytest.mark.parametrize("label, exponents, gdeg", H_VECTOR_CASES,
+                         ids=[c[0] for c in H_VECTOR_CASES])
+def test_graded_dims_are_the_h_vector(label, exponents, gdeg):
+    # Every sw-quasitoric input of this suite, as given and under the
+    # differential twist and relabelling.  Theta mod 2 is a linear system
+    # of parameters and K is a sphere, so F_2[K] is free over it and the
+    # quotient has Hilbert function h(K) (Stanley, Combinatorics and
+    # Commutative Algebra, ch. II.2 and III.2).
+    inputs = differential_inputs(label, exponents)
+    inputs.append(square_ring_input() if exponents is None
+                  else projective_product(exponents))
+    for K, lam in inputs:
+        R = face_ring_mod2(K, lam, generator_degree=gdeg)
+        graded_dims = [R.dim(t) for t in range(R.top + 1)]
+        assert graded_dims == h_vector(K)
 
 
 W2_CASES = ([(f"cp{n}", (n,)) for n in range(1, 7)]
@@ -611,8 +713,16 @@ def test_reduce_rejects_wrong_degree():
     x, y = R.basis(1)
     xy = _poly_mul(frozenset({x}), frozenset({y}))
     for t in (0, 1, 3, 4, 6):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not homogeneous"):
             R.reduce(xy, t)
+    # Ints that are no packed monomial of degree 2, met before any of
+    # degree 2 is memoised: zero, negative, or a generator times a bit
+    # past the last field (one of the shifts starts a field of any width
+    # up to 6, so it reads as a generator that the ring does not have).
+    (xy_mono,) = xy
+    for bad in (0, -1, -xy_mono, *(x + (1 << s) for s in range(60, 66))):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            face_ring_mod2(K, lam).reduce(frozenset({bad}), 2)
     with pytest.raises(ValueError):
         R.reduce(frozenset({(1, 1)}), 2)
     assert R.reduce(xy, 2) == R.reduce(R.reduce(xy, 2), 2)
