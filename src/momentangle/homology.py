@@ -10,15 +10,12 @@ necessary.
 Every complex of the certificate, the root included, is a list of facet
 bitmasks.  Its key is the masks with the holes of their support squeezed
 out, an order-preserving relabelling onto the support by a few shifts,
-and each distinct key is named once.  A pure root whose ridges each lie
-in two facets, and whose facets have a shelling order, is a PL sphere
-(Danaraj and Klee, Duke Math. J. 1974); so is every link of it, and
-every homology condition holds.  Otherwise each is discharged by a
-collapse first: if the complex less one top-dimensional facet collapses
-to a vertex, it is homotopy equivalent to a sphere (Whitehead; greedy
-collapses as in Benedetti and Lutz, Exp. Math. 2014).  A failed collapse
-proves nothing, so only then is the homology computed on the link's
-faces, with its d o d check.
+and each distinct key is named once.  One rule settles the homology
+condition of each complex.  A pure complex whose ridges each lie in two
+facets, and whose facets have a shelling order, is a PL sphere (Danaraj
+and Klee, Duke Math. J. 1974), and so is every link in it: the complex
+and its whole subtree pass.  Any other complex takes its homology, on
+the faces of its facet masks, with the d o d check.
 """
 
 from __future__ import annotations
@@ -93,8 +90,7 @@ def homology(K: SimplicialComplex, reduced=True) -> HomologyProfile:
     coefficient theorem the GF(2) rank of a boundary map is its number of
     odd invariant factors, which gives the mod-2 Betti numbers.
     """
-    return _homology(_face_poset([_bitmask(f) for f in K.facets])[0],
-                     reduced)
+    return _homology(_faces([_bitmask(f) for f in K.facets]), reduced)
 
 
 def _homology(faces, reduced):
@@ -140,14 +136,13 @@ class SphereCertificate:
     complexes: dict = field(default_factory=dict)
     criterion: ClassVar[str] = "recursive-links"
     # homology(K) of the checked complex, for callers that report it: the
-    # sphere's when the root shelled or collapsed, else the fallback's; not
-    # part of the JSON.
+    # sphere's when the root shelled, else the one computed for the root;
+    # not part of the JSON.
     homology: Optional[HomologyProfile] = field(default=None, compare=False,
                                                 repr=False)
     # Nonempty complexes of the table whose homology condition was settled
-    # by the root's shelling (present only when it shelled), by a collapse
-    # and by homology, {"shelling": n, "collapse": n, "homology": n}; not
-    # part of the JSON.
+    # by a shelling, their own or one above them, and by homology,
+    # {"shelling": n, "homology": n}; not part of the JSON.
     settled_by: dict = field(default_factory=dict, compare=False,
                              repr=False)
 
@@ -209,77 +204,22 @@ def _dimension(masks):
     return max(map(int.bit_count, masks), default=0) - 1
 
 
-def _face_poset(masks):
-    """count and xor of each nonempty face of the complex with these facet
-    bitmasks: its number of codimension-one cofaces, and their xor.  Faces
-    top down from the facets, which have no cofaces and come first in
-    masks order: a face joins todo when first reached from a coface, so
-    each is expanded once."""
-    count = dict.fromkeys(masks, 0)
-    xor = dict.fromkeys(masks, 0)
-    todo = list(masks)
+def _faces(masks):
+    """The nonempty faces of the complex with these facet bitmasks, as a
+    set: top down from the facets, each face expanded once."""
+    faces = set(masks)
+    todo = list(faces)
     while todo:
-        face = todo.pop()
+        face = rest = todo.pop()
         if not face & (face - 1):
             continue  # a vertex: the empty face is not in the complex
-        rest = face
         while rest:
             bit = rest & -rest
             rest ^= bit
-            sub = face ^ bit
-            if sub in count:
-                count[sub] += 1
-                xor[sub] ^= face
-            else:
-                count[sub] = 1
-                xor[sub] = face
-                todo.append(sub)
-    return count, xor
-
-
-def _collapses_off_a_facet(faces, removed, count, xor):
-    """True when L = lk_S K, less the interior of one top-dimensional facet
-    D, collapses to a single vertex.  S is the mask removed, count and xor
-    are _face_poset of K, and faces lists each face of L, facets first, as
-    its union with S: its cofaces in L are its cofaces in K, so K's tables
-    hold for it, and its faces drop one bit not in S.
-
-    Then L - D is contractible, and L is L - D with one cell attached
-    along the boundary of D, so L is homotopy equivalent to the sphere of
-    its dimension (Whitehead).  The collapse is greedy, from a stack of
-    free faces: a free face has exactly one live codimension-one coface,
-    which is then maximal, and the pair is removed.  Each live face keeps
-    the count and xor of its live codimension-one cofaces, so the xor of
-    a free face is its coface.  False proves nothing: a greedy collapse
-    can get stuck."""
-    count = {face: count[face] for face in faces}
-    xor = {face: xor[face] for face in faces}
-    top = max(faces, key=int.bit_count)
-    del count[top]
-    # S, the empty face of L, is no face here.
-    for sub in count.keys() & {top ^ bit for bit in _bits(top & ~removed)}:
-        count[sub] -= 1
-        xor[sub] ^= top
-    free = [face for face, n in count.items() if n == 1]
-    while free:
-        face = free.pop()
-        if count.get(face) != 1:
-            continue  # collapsed already, or no longer free
-        for gone in (xor[face], face):
-            del count[gone]
-            rest = gone & ~removed
-            if not rest & (rest - 1):
-                continue  # a vertex of the link: no faces below
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                sub = gone ^ bit
-                n = count[sub] - 1
-                count[sub] = n
-                xor[sub] ^= gone
-                if n == 1:
-                    free.append(sub)
-    return len(count) == 1
+            if face ^ bit not in faces:
+                faces.add(face ^ bit)
+                todo.append(face ^ bit)
+    return faces
 
 
 def _shelling_order(masks):
@@ -329,40 +269,33 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
     """Certify K by the recursive-links criterion.
 
     Each complex is its facet bitmasks in K's labels, and a vertex link
-    is taken on the masks.  When K has a _shelling_order, it is a PL
-    sphere, and so is every link in it: every homology condition holds.
-    Otherwise each is settled by _collapses_off_a_facet on K's face poset
-    when that succeeds, and by _homology on the link's faces if not.
+    is taken on the masks.  A complex that has a _shelling_order is a PL
+    sphere, and so is every link in it: its homology condition holds, and
+    that of every complex below it, with no shelling tried there.  Any
+    other complex is settled by _homology on its own faces.
     """
     memo, table = {}, {}
     names = {}  # key -> _key_str(key), since links recur across parents
     text = {}  # squeezed facet mask -> its sort key and text, for _key_str
     visited = {}  # vertex set S -> (name of lk_S K, whether it passed)
-    settled = {"collapse": 0, "homology": 0}
-    stuck = {}  # key -> homology of a complex whose collapse got stuck
-    masks = [_bitmask(f) for f in K.facets]
-    shelled = _shelling_order(masks) is not None
-    if shelled:  # no faces to filter, collapse or measure
-        settled["shelling"] = 0
-    count, xor = ({}, {}) if shelled else _face_poset(masks)
+    settled = {"shelling": 0, "homology": 0}
+    measured = {}  # key -> homology of a complex that did not shell
 
-    def check(masks, faces, removed, key):
-        """Certify lk_S K, S = removed, from its masks, its canonical key
-        and its parent's faces, as in _collapses_off_a_facet.  A link has
-        a lower dimension than its parent, so key never recurs below."""
+    def check(masks, removed, key, shelled):
+        """Certify lk_S K, S = removed, from its masks and its canonical
+        key; shelled when a complex above it has a shelling.  A link has a
+        lower dimension than its parent, so key never recurs below."""
         if key in memo:
             return memo[key]
         dim = _dimension(masks)
-        faces = [f for f in faces if f & removed == removed and f != removed]
         if dim < 0:  # the empty complex is the (-1)-sphere, with no links
             hom_ok = True
-        elif shelled or _collapses_off_a_facet(faces, removed, count, xor):
-            settled["shelling" if shelled else "collapse"] += 1
+        elif shelled or _shelling_order(masks) is not None:
+            shelled = True
+            settled["shelling"] += 1
             hom_ok = True
         else:
-            # The faces just collapsed, less S: lk_S K's own.
-            prof = stuck[key] = _homology([f ^ removed for f in faces],
-                                          True)
+            prof = measured[key] = _homology(_faces(masks), True)
             settled["homology"] += 1
             hom_ok = prof == _sphere_homology(dim)
         links = {}
@@ -381,7 +314,7 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
                         names[link_key] = _key_str(link_key, text)
                     visited[sub] = names[link_key], (
                         _dimension(link) == dim - 1
-                        and check(link, faces, sub, link_key))
+                        and check(link, sub, link_key, shelled))
                 # K's vertices less the removed ones are numbered 1, 2, ...
                 # in order, so bit's label is K's less the removed below it.
                 label = bit.bit_length() - (removed & (bit - 1)).bit_count()
@@ -395,12 +328,12 @@ def is_homology_sphere(K: SimplicialComplex) -> SphereCertificate:
                              "vertex_links": links}
         return ok
 
+    masks = [_bitmask(f) for f in K.facets]
     root = _canonical_key(masks)
     names[root] = _key_str(root, text)
-    verdict = check(masks, count, 0, root)
+    verdict = check(masks, 0, root, False)
     del check  # the closure refers to itself: free its tables on return
-    # A root that collapsed is homotopy equivalent to the sphere.
-    prof = stuck.get(root) or _sphere_homology(K.dimension)
+    prof = measured.get(root) or _sphere_homology(K.dimension)
     return SphereCertificate(verdict=verdict, root=names[root],
                              complexes=table, homology=prof,
                              settled_by=settled)

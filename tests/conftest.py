@@ -7,19 +7,28 @@ import momentangle  # noqa: F401  (loads momentangle.homology)
 
 @pytest.fixture
 def no_shelling(monkeypatch):
-    """Make the greedy shelling of the sphere certificate's root fail, so
-    that every complex's homology condition is settled by its collapse,
-    or by homology when the collapse gets stuck."""
+    """Make every greedy shelling of the sphere certificate fail, so that
+    each complex's homology condition is settled by homology."""
     hmod = sys.modules["momentangle.homology"]
     monkeypatch.setattr(hmod, "_shelling_order", lambda masks: None)
 
 
 @pytest.fixture
-def no_collapse(monkeypatch, no_shelling):
-    """Make the root's shelling and every collapse of the sphere
-    certificate fail, so that each complex's homology condition falls back
-    to homology, as it did before the certificate tried shellings and
-    collapses."""
+def root_not_shelling(monkeypatch):
+    """Make only the shelling of the sphere certificate's root fail, so
+    that the root takes homology and each complex below it tries its own
+    shelling unless one above it has shelled.  The root is the one
+    complex that the certificate checks with no vertex removed.  Returns
+    the list of the masks that _shelling_order was called with."""
     hmod = sys.modules["momentangle.homology"]
-    monkeypatch.setattr(hmod, "_collapses_off_a_facet",
-                        lambda faces, removed, count, xor: False)
+    real = hmod._shelling_order
+    calls = []
+
+    def shelling(masks):
+        calls.append(masks)
+        if sys._getframe(1).f_locals["removed"] == 0:
+            return None
+        return real(masks)
+
+    monkeypatch.setattr(hmod, "_shelling_order", shelling)
+    return calls

@@ -111,7 +111,7 @@ class TestCheckManifold:
         assert obj["manifold"] == "certified_manifold"
 
     def test_root_homology_computed_once(self, capsys, c69_file,
-                                         monkeypatch, no_collapse):
+                                         monkeypatch, no_shelling):
         hmod = sys.modules["momentangle.homology"]
         real = hmod._homology
         calls = []
@@ -130,38 +130,28 @@ class TestCheckManifold:
             1 for c in obj["certificate"]["complexes"].values()
             if c["dim"] >= 0)
 
-    def test_homology_only_for_stuck_collapses(self, capsys, c69_file,
-                                               monkeypatch, no_shelling):
+    def test_homology_only_where_no_shelling_settles(
+            self, capsys, c69_file, monkeypatch, root_not_shelling):
         hmod = sys.modules["momentangle.homology"]
-        real_homology, real_collapse = (hmod._homology,
-                                        hmod._collapses_off_a_facet)
-        calls, collapses, stuck = [], [], []
+        real = hmod._homology
+        calls = []
 
-        def counted(masks, reduced):
+        def counted(faces, reduced):
             calls.append(None)
-            return real_homology(masks, reduced)
-
-        def collapse(faces, removed, count, xor):
-            collapsed = real_collapse(faces, removed, count, xor)
-            collapses.append(None)
-            if not collapsed:
-                stuck.append(None)
-            return collapsed
+            return real(faces, reduced)
 
         want = hmod.homology(cyclic_polytope_boundary(6, 9)).to_json()
         monkeypatch.setattr(hmod, "_homology", counted)
-        monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
         code, obj = run_json(capsys, ["check-manifold", "--complex",
                                       c69_file])
         assert code == 0
         assert obj["homology"] == want
-        assert len(calls) == len(stuck)
-        assert len(collapses) == sum(
-            1 for c in obj["certificate"]["complexes"].values()
-            if c["dim"] >= 0)
-        assert stuck == []  # the 5-sphere and all its links collapse
+        # Only the root is measured: each of its vertex links shells and
+        # settles every complex below it, which tries no shelling.
+        assert len(calls) == 1
+        assert len(root_not_shelling) <= 1 + 9
 
-    def test_reports_identical_when_every_collapse_fails(
+    def test_reports_identical_on_every_path(
             self, capsys, tmp_path, request):
         rng = random.Random(20261018)
         inputs = {"rp2_6": RP2_6, "torus_7": TORUS_7}
@@ -186,12 +176,13 @@ class TestCheckManifold:
                 out[name] = (code, capsys.readouterr().out)
             return out
 
-        # The root's shelling settles each sphere by default, the
-        # collapses without it, and homology without either.
+        # The root's shelling settles each sphere by default, homology on
+        # the root and the shellings of its links without it, and
+        # homology everywhere without any shelling.
         default = reports()
-        request.getfixturevalue("no_shelling")
+        request.getfixturevalue("root_not_shelling")
         assert reports() == default
-        request.getfixturevalue("no_collapse")
+        request.getfixturevalue("no_shelling")
         assert reports() == default
         for name, (code, _) in default.items():
             assert code == (0 if name.startswith("c") else 1), name

@@ -12,9 +12,9 @@ import momentangle
 from momentangle.homology import (InternalError, SphereCertificate,
                                   _boundary_columns,
                                   _check_boundary_squared_zero,
-                                  _canonical_key, _collapses_off_a_facet,
-                                  _face_poset, _key_str, _shelling_order,
-                                  homology, is_homology_sphere)
+                                  _canonical_key, _faces, _key_str,
+                                  _shelling_order, homology,
+                                  is_homology_sphere)
 from momentangle.intlinalg import (IntMatrix, rows_to_bitmasks, rref_mod2,
                                    smith)
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
@@ -35,8 +35,7 @@ CONE_RP2 = new_complex(7, [f + (7,) for f in RP2.facets])
 TORUS_7 = new_complex(7, [(i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1)
                           for i in range(7) for a in (1, 2)])
 # The tetrahedron boundary with a fin: a triangle glued along the edge 12.
-# Homotopy equivalent to S^2, but the link of the edge 12 is three points,
-# a complex whose collapse gets stuck.
+# Homotopy equivalent to S^2, but the link of the edge 12 is three points.
 FIN = new_complex(5, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
                       (1, 2, 5)])
 
@@ -121,12 +120,6 @@ def suspension(K):
 
 def masks_of(K):
     return [_bitmask(f) for f in K.facets]
-
-
-def collapses(K):
-    """_collapses_off_a_facet of K itself, on K's face poset."""
-    count, xor = _face_poset(masks_of(K))
-    return _collapses_off_a_facet(list(count), 0, count, xor)
 
 
 def matches_sphere(K):
@@ -241,8 +234,8 @@ class TestChainComplex:
 
     def test_boundary_squared_check_survives_optimize(self, tmp_path):
         # Under -O: the checker still raises, and a failing check still
-        # makes check-manifold exit 3.  The collapse of RP^2 gets stuck,
-        # so its certificate reaches _boundary_columns.
+        # makes check-manifold exit 3.  RP^2 does not shell, so its
+        # certificate reaches _boundary_columns.
         path = tmp_path / "rp2.json"
         path.write_text(json.dumps(RP2.to_json()))
         script = (
@@ -274,7 +267,7 @@ class TestChainComplex:
         for K in [RP2, FIN, TORUS_7, new_complex(1, [(1,)]),
                   cyclic_polytope_boundary(4, 7)] + [
                       random_complex(rng) for _ in range(60)]:
-            sparse = _boundary_columns(list(_face_poset(masks_of(K))[0]))
+            sparse = _boundary_columns(_faces(masks_of(K)))
             dense = chain_complex(K).boundaries
             assert len(sparse) == len(dense) == K.dimension + 1
             for d, (cols, bd) in enumerate(zip(sparse, dense)):
@@ -390,7 +383,7 @@ class TestSphereCertificate:
         assert not is_homology_sphere(RP2).verdict
 
     def test_each_complex_keyed_and_measured_once(self, monkeypatch,
-                                                  no_collapse):
+                                                  no_shelling):
         hmod = sys.modules["momentangle.homology"]
         calls = dict.fromkeys(("key", "name", "homology"), 0)
         count_keys_and_names(monkeypatch, calls)
@@ -414,66 +407,68 @@ class TestSphereCertificate:
                                             if c["dim"] >= 0)
             assert cert.homology == homology(K)
 
-    def test_homology_only_for_stuck_collapses(self, monkeypatch,
-                                               no_shelling):
+    def test_homology_only_where_no_shelling_settles(self, monkeypatch,
+                                                     root_not_shelling):
         hmod = sys.modules["momentangle.homology"]
-        calls = dict.fromkeys(("key", "name", "homology", "collapse",
-                               "stuck"), 0)
+        calls = dict.fromkeys(("key", "name"), 0)
         count_keys_and_names(monkeypatch, calls)
         real_homology = hmod._homology
-        real_collapse = hmod._collapses_off_a_facet
+        measured = []
 
-        def counted_homology(masks, reduced):
-            calls["homology"] += 1
-            return real_homology(masks, reduced)
-
-        def collapse(faces, removed, count, xor):
-            calls["collapse"] += 1
-            collapsed = real_collapse(faces, removed, count, xor)
-            calls["stuck"] += not collapsed
-            return collapsed
+        def counted_homology(faces, reduced):
+            measured.append(faces)
+            return real_homology(faces, reduced)
 
         monkeypatch.setattr(hmod, "_homology", counted_homology)
-        monkeypatch.setattr(hmod, "_collapses_off_a_facet", collapse)
-        # RP^2's own collapse gets stuck; FIN's root collapses, but the
-        # link of its edge 12 is three points.
-        for K, stuck in ((cyclic_polytope_boundary(6, 9), 0), (RP2, 1),
-                         (FIN, 1), (new_complex(5, [(1, 2, 3), (1, 2, 4),
-                                                    (1, 3, 4), (2, 3, 4)]),
-                                    0)):
+        # Only the root's shelling fails on the spheres, and RP^2 stops
+        # there.  FIN's links of 1 and of the edge 12 do not shell either.
+        for K, failed in ((cyclic_polytope_boundary(6, 9), 1), (RP2, 1),
+                          (FIN, 3), (boundary_of_simplex(3), 1)):
             reached = set()
             reference_certificate(K, reached)
-            calls.update(key=0, name=0, homology=0, collapse=0, stuck=0)
+            calls.update(key=0, name=0)
+            measured.clear()
+            root_not_shelling.clear()
             cert = is_homology_sphere(K)
             table = cert.complexes.values()
             assert_keyed_and_named_once(cert, calls, reached)
-            # Homology for each collapse that got stuck; every other
-            # nonempty complex, the root included, is settled by its
-            # collapse.
-            assert calls["stuck"] == stuck
-            assert calls["homology"] == calls["stuck"]
-            assert calls["collapse"] == sum(1 for c in table
-                                            if c["dim"] >= 0)
+            # Homology runs on the faces of each complex whose shelling
+            # failed, and only there: no complex below one that shelled
+            # tries a shelling.
+            stuck = [masks for i, masks in enumerate(root_not_shelling)
+                     if i == 0 or _shelling_order(masks) is None]
+            assert len(stuck) == failed
+            assert measured == [_faces(masks) for masks in stuck]
             assert cert.settled_by == {
-                "collapse": calls["collapse"] - calls["stuck"],
-                "homology": calls["homology"]}
+                "shelling": sum(1 for c in table if c["dim"] >= 0)
+                - len(stuck),
+                "homology": len(stuck)}
             assert cert.homology == homology(K)
 
-    def test_collapses_settle_cyclic_spheres(self, no_shelling):
-        # The greedy's outcome, pinned: a change of its stack order that
-        # gets stuck more often shows here, not only in the time.
+    def test_homology_settles_cyclic_spheres_without_shellings(
+            self, no_shelling):
         for n, m, size in ((6, 10, 60), (8, 12, 220), (4, 12, 18)):
             cert = is_homology_sphere(cyclic_polytope_boundary(n, m))
             assert len(cert.complexes) == size
-            assert cert.settled_by == {"collapse": size - 1, "homology": 0}
+            assert cert.settled_by == {"shelling": 0, "homology": size - 1}
+
+    def test_link_shellings_settle_cyclic_spheres(self, root_not_shelling):
+        # The root takes homology; each vertex link shells once and
+        # settles the complexes below it.  A slide back to one shelling
+        # per complex would make hundreds of calls.
+        for n, m, size in ((6, 10, 60), (8, 12, 220), (4, 12, 18)):
+            root_not_shelling.clear()
+            cert = is_homology_sphere(cyclic_polytope_boundary(n, m))
+            assert len(cert.complexes) == size
+            assert cert.settled_by == {"shelling": size - 2, "homology": 1}
+            assert len(root_not_shelling) <= 1 + m
 
     def test_shelling_settles_cyclic_spheres(self):
-        # The root shells, so no complex is collapsed or measured.
+        # The root shells, so no complex is measured.
         for n, m, size in ((6, 10, 60), (8, 12, 220), (4, 12, 18)):
             cert = is_homology_sphere(cyclic_polytope_boundary(n, m))
             assert len(cert.complexes) == size
-            assert cert.settled_by == {"shelling": size - 1, "collapse": 0,
-                                       "homology": 0}
+            assert cert.settled_by == {"shelling": size - 1, "homology": 0}
 
     def test_certificate_leaves_no_garbage(self):
         # The recursion's tables, K's face poset among them, are freed on
@@ -570,11 +565,12 @@ class TestManifoldVerdict:
         assert manifold_verdict(new_complex(2, [(1, 2)])) == "unknown"
 
 
-class TestCollapse:
-    """_collapses_off_a_facet on its own: a success must mean sphere
-    homology, and complexes that are no spheres never collapse."""
+class TestLinkShelling:
+    """_shelling_order as the certificate uses it: an order must be a
+    shelling and the complex a sphere, and complexes that are no spheres
+    never shell."""
 
-    def test_success_implies_sphere_homology(self):
+    def test_shelled_complexes_have_sphere_homology(self):
         rng = random.Random(1939)
         complexes = []
         for dim in (2, 3):
@@ -588,36 +584,44 @@ class TestCollapse:
             K = relabelled(cyclic_polytope_boundary(n, m), rng)
             links += [link(K, (v,))[0] for v in support(K)]
         complexes += links + [suspension(L) for L in links[::4]]
-        collapsed = 0
+        shelled = 0
         for K in complexes:
-            if collapses(K):
-                collapsed += 1
+            order = _shelling_order(masks_of(K))
+            if order is not None:
+                shelled += 1
+                assert is_shelling(K.facets, order), K
                 assert matches_sphere(K), K
-        # Every link and suspension of one is a sphere that collapses.
-        assert collapsed >= len(links) + len(links[::4])
+        # Every link and suspension of one is a sphere that shells.
+        assert shelled >= len(links) + len(links[::4])
 
-    def test_link_collapse_on_k_tables_implies_sphere_homology(self):
-        # The certificate collapses lk_S K on K's face poset, with each
-        # face held as its union with S.  For every face S of K, a success
-        # there must mean that lk_S K has the homology of a sphere.
+    def test_link_shelling_on_k_masks_implies_sphere_homology(self):
+        # The certificate shells lk_S K on K's masks less S, holes in the
+        # labels included.  For every face S of K, an order there must pass
+        # the independent checker, and lk_S K must have the homology of a
+        # sphere.  S empty is K itself.
         rng = random.Random(2014)
         spheres = [relabelled(cyclic_polytope_boundary(n, m), rng)
                    for n, m in ((3, 7), (4, 7), (5, 8), (6, 9))]
-        others = [suspension(spheres[1]), suspension(RP2), cone(spheres[0]),
-                  cone(RP2), RP2, TORUS_7]
+        others = [suspension(spheres[1]), SUSP_RP2, cone(spheres[0]),
+                  CONE_RP2, RP2, TORUS_7, FIN]
         for K in spheres + others:
-            count, xor = _face_poset(masks_of(K))
-            collapsed = 0
-            for S in count:
-                faces = [f for f in count if f & S == S and f != S]
-                if faces and _collapses_off_a_facet(faces, S, count, xor):
-                    collapsed += 1
-                    lk, _ = link(K, [v for v in range(1, K.m + 1)
-                                     if S >> (v - 1) & 1])
-                    assert matches_sphere(lk), (K, S)
-            assert collapsed, K
+            masks = masks_of(K)
+            shelled = 0
+            for S in _faces(masks) | {0}:
+                lk_masks = [f & ~S for f in masks if f & S == S and f != S]
+                order = _shelling_order(lk_masks)
+                if order is None:
+                    continue
+                shelled += 1
+                facets = [[v for v in range(1, K.m + 1) if f >> (v - 1) & 1]
+                          for f in lk_masks]
+                assert is_shelling(facets, order), (K, S)
+                lk, _ = link(K, [v for v in range(1, K.m + 1)
+                                 if S >> (v - 1) & 1])
+                assert matches_sphere(lk), (K, S)
+            assert shelled, K
 
-    def test_non_spheres_never_collapse(self):
+    def test_non_spheres_never_shell(self):
         rng = random.Random(1998)
         links = [L for n, m in ((3, 6), (4, 7), (6, 9))
                  for K in [relabelled(cyclic_polytope_boundary(n, m), rng)]
@@ -625,16 +629,16 @@ class TestCollapse:
         cones = [cone(K) for K in links + [boundary_of_simplex(2), RP2,
                                             TORUS_7, suspension(links[0])]]
         for K in [RP2, TORUS_7, SUSP_RP2] + cones:
-            assert not collapses(K), K
+            assert _shelling_order(masks_of(K)) is None, K
 
     def test_edge_cases(self):
-        # Two points are S^0: removing one leaves a single vertex.
-        assert collapses(new_complex(2, [(1,), (2,)]))
-        # One vertex less itself is empty, not a vertex.
-        assert not collapses(new_complex(1, [(1,)]))
-        assert not collapses(new_complex(3, [(1,), (2,), (3,)]))
-        assert collapses(boundary_of_simplex(2))
-        assert not collapses(new_complex(2, [(1, 2)]))
+        # Two points are S^0, and one vertex alone is no sphere.
+        assert _shelling_order(masks_of(new_complex(2, [(1,), (2,)])))
+        assert _shelling_order(masks_of(new_complex(1, [(1,)]))) is None
+        assert _shelling_order(
+            masks_of(new_complex(3, [(1,), (2,), (3,)]))) is None
+        assert _shelling_order(masks_of(boundary_of_simplex(2)))
+        assert _shelling_order(masks_of(new_complex(2, [(1, 2)]))) is None
 
 
 class TestShelling:
@@ -694,5 +698,4 @@ class TestShelling:
         assert _shelling_order(masks_of(K)) == [0, 1]
         cert = is_homology_sphere(K)
         assert cert.verdict
-        assert cert.settled_by == {"shelling": 1, "collapse": 0,
-                                   "homology": 0}
+        assert cert.settled_by == {"shelling": 1, "homology": 0}
