@@ -7,8 +7,11 @@ time) and derives the exit code from its "verdict" field in one place:
 succeeds with 0).  2 is an input error and 3 an internal error (an
 InternalError or any other unexpected exception, so a crash never reads
 as a negative verdict).  All randomness requires an explicit --seed.
-COMMANDS is the one table of subcommands; a subcommand's parser is
-built only when its name is given.
+COMMANDS is the one table of subcommands and GLOBAL_OPTIONS the one
+table of the options before them.  A plain argv (see _plain_args) is
+read straight from the two tables and builds no parser; argparse, with
+every subparser, is built only for help, abbreviations and errors, so
+their texts and exit codes are argparse's.
 """
 
 from __future__ import annotations
@@ -397,6 +400,16 @@ def cmd_search_free(args):
     return payload
 
 
+# The options before the command, with the add_argument keywords of each.
+GLOBAL_OPTIONS = {
+    "--json-out": {"metavar": "PATH",
+                   "help": "also write the JSON result to PATH"},
+    "--seed": {"type": int, "default": None,
+               "help": "seed for any randomized step (mandatory where "
+                       "randomness is used)"},
+    "--quiet": {"action": "store_true", "help": "suppress stdout output"},
+}
+
 _REQUIRED = {"required": True}
 _THETA_OR_TORUS = {"--theta": {}, "--torus": {}}
 
@@ -439,20 +452,69 @@ COMMANDS = {
 }
 
 
-class _Subcommand:
-    """Stand-in parser of one subcommand: argparse calls only its
-    parse_known_args, which builds the real parser from COMMANDS."""
+def _read(arguments, tokens, args):
+    """Set on args the dest of each of one parser's arguments (their
+    add_argument keywords by name) from its plain tokens, as argparse
+    would.  Returns the tokens from the first positional one that no
+    positional argument is left for, or None when the tokens are not
+    plain or argparse would reject them."""
+    positionals = iter([name for name in arguments if name[0] != "-"])
+    given = {}
+    rest = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            name = next(positionals, None)
+            if name is None:
+                rest = [token, *tokens]
+                break
+            given[name] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in arguments or name in given:
+            return None
+        if arguments[name].get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        given[name] = value
+    for name, spec in arguments.items():
+        if name not in given and (spec.get("required") or name[0] != "-"):
+            return None
+        flag = spec.get("action") == "store_true"
+        value = given.get(name, spec.get("default", False if flag else None))
+        if isinstance(value, str) and "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if name in given and value not in spec.get("choices", [value]):
+            return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return rest
 
-    def __init__(self, command, **kwargs):
-        self.command, self.kwargs = command, kwargs
 
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self.kwargs)
-        _, handler, arguments = COMMANDS[self.command]
-        for name, spec in arguments.items():
-            parser.add_argument(name, **spec)
-        parser.set_defaults(func=handler)
-        return parser.parse_known_args(args, namespace)
+def _plain_args(argv=None):
+    """The Namespace of build_parser().parse_args(argv) when argv is
+    plain, else None: the global options, the command, then its
+    arguments, each option by its full name and at most once, with its
+    value after "=" or in the next token, which does not start with "-".
+    argv defaults to sys.argv[1:]."""
+    args = argparse.Namespace()
+    rest = _read(GLOBAL_OPTIONS,
+                 list(sys.argv[1:] if argv is None else argv), args)
+    if not rest or rest[0] not in COMMANDS:
+        return None
+    args.command = rest[0]
+    _, handler, arguments = COMMANDS[rest[0]]
+    if _read(arguments, rest[1:], args) != []:
+        return None
+    args.func = handler
+    return args
 
 
 def build_parser():
@@ -461,23 +523,19 @@ def build_parser():
         description="Workbench for moment-angle manifolds: manifold "
                     "certification, subtorus freeness, characteristic "
                     "matrices, and Stiefel-Whitney data of quotients.")
-    parser.add_argument("--json-out", metavar="PATH",
-                        help="also write the JSON result to PATH")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized step (mandatory "
-                             "where randomness is used)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress stdout output")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
-    for name, (help_text, _, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, command=name)
+    for name, spec in GLOBAL_OPTIONS.items():
+        parser.add_argument(name, **spec)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for argument, spec in arguments.items():
+            command.add_argument(argument, **spec)
+        command.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         payload = args.func(args)
         _emit(args, payload)

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import enum
 import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -722,8 +724,9 @@ class TestParserSurface:
         choices = re.search(r"\{([^}]*)\}", usage).group(1)
         assert choices.split(",") == list(cli.COMMANDS)
 
-    def test_only_the_named_subparser_is_built(self, capsys, monkeypatch,
-                                               theta_file):
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The prog of every ArgumentParser built from now on."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -732,8 +735,149 @@ class TestParserSurface:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return built
+
+    def test_plain_argv_builds_no_parser(self, capsys, monkeypatch,
+                                         theta_file):
+        built = self._count_builds(monkeypatch)
         assert main(["w2", "--theta", theta_file]) == 0
-        assert built == ["momentangle", "momentangle w2"]
+        report = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv",
+                            ["momentangle", "w2", "--theta", theta_file])
+        assert main() == 0
+        assert capsys.readouterr().out == report
+        assert built == []
+
+    def test_abbreviation_answers_through_argparse(self, capsys, monkeypatch,
+                                                   theta_file):
+        assert main(["w2", "--theta", theta_file]) == 0
+        report = capsys.readouterr()
+        built = self._count_builds(monkeypatch)
+        assert main(["w2", "--thet", theta_file]) == 0
+        assert capsys.readouterr() == report
+        assert built == ["momentangle"] + [f"momentangle {name}"
+                                           for name in cli.COMMANDS]
+
+    def test_specs_use_only_what_the_plain_parser_reads(self):
+        # Any other add_argument keyword (nargs, dest, another action)
+        # could be read one way by _plain_args and another by argparse.
+        keys = {"type", "default", "required", "choices", "help", "metavar",
+                "action"}
+        specs = [*cli.GLOBAL_OPTIONS.values()] + [
+            spec for _, _, arguments in cli.COMMANDS.values()
+            for spec in arguments.values()]
+        for spec in specs:
+            assert set(spec) <= keys, spec
+            assert spec.get("action", "store_true") == "store_true", spec
+
+
+class TestPlainArgv:
+    """cli._plain_args reads a plain argv into the namespace argparse
+    gives, and leaves every argv argparse rejects to argparse."""
+
+    @staticmethod
+    def _argparse_vars(argv):
+        """vars of argparse's namespace for argv, or None if it exits."""
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                return None
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-example"],
+        ["check-manifold", "--complex", "c6_10-relabelled.json"],
+        ["search-free", "--complex", "c6_9.json", "--k", "2",
+         "--entries=0,1"],
+        ["--seed", "862034431", "search-free", "--complex", "c6_9.json",
+         "--k", "2", "--entries=-1,0,1", "--mode", "random",
+         "--samples", "2000"],
+        ["check-free", "--complex", "c6_9.json", "--torus", "torus-0.json"],
+        ["--seed", "17", "extend-char", "--complex", "c6_9.json",
+         "--torus", "torus-0.json", "--entry-bound", "3"],
+        ["quotient-h2", "--torus", "torus-0.json"],
+        ["w2", "--theta", "theta-0.json"],
+        ["sw-quasitoric", "--complex", "rp1x6-complex.json", "--char",
+         "rp1x6-char.json", "--generator-degree", "1"],
+        ["--json-out", "out.json", "--quiet", "facets-cyclic", "6", "9"],
+    ])
+    def test_benchmark_argv_shapes_are_plain(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None
+        assert vars(plain) == self._argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        # argparse rejects these ...
+        ["facets-cyclic", "6"], ["check-manifold"], ["verify-example", "x"],
+        ["search-free", "--complex", "c.json", "--k", "x"],
+        ["sw-quasitoric", "--complex", "c.json", "--char", "l.json",
+         "--generator-degree", "3"],
+        ["--quiet=1", "verify-example"], ["w2", "--theta"],
+        ["w2", "--theta", "-h"], ["--seed", "1"], ["w2", "--quiet"],
+        # ... and accepts these, which are not plain.
+        ["w2", "--thet", "f.json"], ["--q", "verify-example"],
+        ["w2", "--theta", "a.json", "--theta", "b.json"],
+        ["facets-cyclic", "-1", "4"], ["facets-cyclic", "--", "4", "6"],
+    ])
+    def test_leaves_other_argv_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_agrees_with_argparse(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        commands = list(cli.COMMANDS)
+        options = list(cli.GLOBAL_OPTIONS) + sorted({
+            name for _, _, arguments in cli.COMMANDS.values()
+            for name in arguments if name[0] == "-"})
+        values = ["1", "-1", "0,1", "x", "", "theta.json", "random", "3"]
+        names = commands + options
+        prefixes = [name[:i] for name in names for i in range(3, len(name))
+                    if sum(n.startswith(name[:i]) for n in names) == 1]
+        pool = (names + prefixes + values + ["--", "-h"]
+                + [f"{name}={v}" for name in options for v in values])
+
+        @st.composite
+        def given(draw, arguments):
+            # The arguments in any order, each at most once and a required
+            # one mostly: a positional's value, or an option with a value
+            # in the next token or after "=", or alone.
+            tokens = []
+            for name in draw(st.permutations(list(arguments))):
+                value = draw(st.sampled_from(values))
+                required = name[0] != "-" or arguments[name].get("required")
+                if draw(st.sampled_from([required] * 3 + [False, True])):
+                    tokens += draw(st.sampled_from(
+                        [[value]] if name[0] != "-" else
+                        [[name, value], [f"{name}={value}"]] * 2 + [[name]]))
+            return tokens
+
+        @st.composite
+        def shaped(draw):
+            command = draw(st.sampled_from(commands))
+            argv = [*draw(given(cli.GLOBAL_OPTIONS)), command,
+                    *draw(given(cli.COMMANDS[command][2]))]
+            # Now and then a token from anywhere, anywhere.
+            for token in draw(st.lists(st.sampled_from(pool), max_size=1)):
+                argv.insert(draw(st.integers(0, len(argv))), token)
+            return argv
+
+        plain_seen = []
+
+        @hypothesis.settings(max_examples=600, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.one_of(shaped(),
+                                    st.lists(st.sampled_from(pool),
+                                             max_size=6)))
+        def check(argv):
+            plain = cli._plain_args(argv)
+            if plain is not None:
+                # So argparse does not exit either.
+                assert vars(plain) == self._argparse_vars(argv), argv
+                plain_seen.append(argv)
+
+        check()
+        assert len(plain_seen) >= 50
 
 
 class TestGlobalFlags:
