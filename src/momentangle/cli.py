@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Each cmd_* returns its JSON payload and nothing else; main writes it as
-it is produced (an iterator in it is written as a list, one item at a
+it is produced (a _Records in it is written as a list, one record at a
 time) and derives the exit code from its "verdict" field in one place:
 1 when the verdict is false, 0 otherwise (a command without a verdict
 succeeds with 0).  2 is an input error and 3 an internal error (an
@@ -22,7 +22,6 @@ import os
 import stat
 import sys
 import traceback
-from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .charclasses import (face_ring_mod2, h2_of_quotient, sw_numbers,
@@ -84,13 +83,23 @@ def _key_json(key):
                     f"not {key.__class__.__name__}")
 
 
-def _write_indented(x, write, newline, templates):
+_SLOT = "\0"  # each int of the sample record of a _Records
+
+
+class _Records:
+    """A list of records shaped like sample, which holds _SLOT for each
+    int, each given by the tuple of its ints, drawn as it is written."""
+
+    def __init__(self, sample, values):
+        self.sample, self.values = sample, values
+
+
+def _write_indented(x, write, newline):
     """Pass the text of x to write, part by part, as json.dumps(x,
     indent=2) writes it at the nesting level whose line break and indent
-    are newline.  An iterator is written as the list of its items, drawn
-    one at a time.  A scalar inside a container is written with its
-    container's line.  The items of a list are written from templates
-    (see _record_text) until one is not a record."""
+    are newline.  _Records are written as the list of their records,
+    each one part from one template.  A scalar inside a container is
+    written with its container's line."""
     inner = newline + "  "
     if isinstance(x, (list, tuple)) and x and all(type(v) is int
                                                   for v in x):
@@ -108,84 +117,39 @@ def _write_indented(x, write, newline, templates):
             else:
                 write("".join(line))
                 line.clear()
-                _write_indented(v, write, inner, templates)
+                _write_indented(v, write, inner)
             sep = "," + inner
         line.append("{}" if sep[0] == "{" else newline + "}")
         write("".join(line))
-    elif isinstance(x, (list, tuple, Iterator)):
+    elif isinstance(x, _Records):
+        template = _record_template(x.sample, inner)
         sep = "[" + inner
-        records = True
+        for values in x.values:
+            write(sep + template % values)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else newline + "]")
+    elif isinstance(x, (list, tuple)):
+        sep = "[" + inner
         for v in x:
-            record = records and _record_text(v, inner, templates)
-            if record:
-                write(sep + record)
+            text = _SCALAR_TEXT.get(type(v))
+            if text:
+                write(sep + text(v))
             else:
-                records = False
-                text = _SCALAR_TEXT.get(type(v))
-                if text:
-                    write(sep + text(v))
-                else:
-                    write(sep)
-                    _write_indented(v, write, inner, templates)
+                write(sep)
+                _write_indented(v, write, inner)
             sep = "," + inner
         write("[]" if sep[0] == "[" else newline + "]")
     else:
         write(_scalar_json(x))
 
 
-def _record_text(x, newline, templates):
-    """The text of x at newline, as _write_indented writes it, from one
-    str.format call on the template of x's shape, which templates keeps;
-    None unless x is a record: a nonempty dict whose keys are str and
-    whose values are exact ints or nonempty lists of equal-length
-    nonempty lists of exact ints.  A search lattice is one."""
-    if type(x) is not dict:
-        return None
-    shape, values = [], []
-    for key, v in x.items():
-        if type(key) is not str:
-            return None
-        if type(v) is int:
-            shape.append(key)
-            values.append(v)
-        elif type(v) is list and v and type(v[0]) is list and v[0]:
-            cols = len(v[0])
-            for row in v:
-                if type(row) is not list or len(row) != cols:
-                    return None
-                values += row
-            shape.append((key, len(v), cols))
-        else:
-            return None
-    if set(map(type, values)) != {int}:  # so an empty dict is no record
-        return None
-    shape = (newline, *shape)
-    template = templates.get(shape)
-    if template is None:
-        template = templates[shape] = _record_template(shape)
-    return template.format(*values)
-
-
-def _record_template(shape):
-    """The str.format template of the records of a shape: the newline,
-    then for each field its key if it holds an int, or (key, rows, cols)
-    if it holds a list of rows.  It is their JSON text with a {} for each
-    int."""
-    newline, *fields = shape
-    inner, row_nl, int_nl = (newline + "  " * i for i in (1, 2, 3))
-    texts = []
-    for field in fields:
-        if type(field) is str:
-            key, value = field, "{}"
-        else:
-            key, rows, cols = field
-            row = "[" + int_nl + ("," + int_nl).join(["{}"] * cols) + (
-                row_nl + "]")
-            value = ("[" + row_nl + ("," + row_nl).join([row] * rows)
-                     + inner + "]")
-        texts.append(_key_json(key).replace("{", "{{").replace("}", "}}")
-                     + ": " + value)
-    return "{{" + inner + ("," + inner).join(texts) + newline + "}}"
+def _record_template(sample, newline):
+    """The %-template of the records shaped like sample at newline: its
+    text, as _write_indented writes it, with a %d for each _SLOT."""
+    parts = []
+    _write_indented(sample, parts.append, newline)
+    return "".join(parts).replace("%", "%%").replace(
+        encode_basestring_ascii(_SLOT), "%d")
 
 
 # A StringIO stdout keeps each string written to it until read, so parts
@@ -198,10 +162,9 @@ _CHUNK_CHARS = 32_768
 def _write_report(payload, write):
     """Pass json.dumps(payload, indent=2) and a line break to write, in
     chunks, without the pure-Python encoder that json takes whenever it
-    indents: lists of plain ints are joined in one step, records in a
-    list are written from one template per shape (the templates are kept
-    for this report only) and other scalars are written by table or by
-    json's C encoder."""
+    indents: lists of plain ints are joined in one step, _Records are
+    written from one template each and other scalars are written by
+    table or by json's C encoder."""
     parts = []
     size = 0
 
@@ -214,7 +177,7 @@ def _write_report(payload, write):
             parts.clear()
             size = 0
 
-    _write_indented(payload, add, "\n", {})
+    _write_indented(payload, add, "\n")
     parts.append("\n")
     write("".join(parts))
 
@@ -395,9 +358,13 @@ def cmd_search_free(args):
     cfg = SearchConfig(k=args.k, entry_set=entries, mode=args.mode,
                        seed=args.seed, samples=args.samples)
     res = search_free(K, cfg)
-    payload = res.to_json(stream=True)
-    payload["verdict"] = bool(res.keys)
-    return payload
+    # res.to_json(), each lattice written from its key, k rows, flat.
+    m, k = res.m, len(next(iter(res.keys), ()))
+    found = _Records({"m": _SLOT, "rows": [[_SLOT] * m] * k},
+                     (sum(key, (m,)) for key in res.checked_keys()))
+    return {"found": found, "explored": res.explored,
+            "complete_candidates": res.complete_candidates,
+            "note": res.note, "verdict": bool(res.keys)}
 
 
 # The options before the command, with the add_argument keywords of each.

@@ -15,14 +15,17 @@ bitmask, found once per search in the test's children table, so a node
 ANDs one mask per complement.  The children of the last column are
 leaves, recorded in a loop; the recursion is one call per column, which
 is why exhaustive mode takes at most EXHAUSTIVE_MAX_VERTICES vertices.
-Random mode draws cfg.samples >= 1 candidates and codes each one's
-columns into the test's palette.  Either mode explores and draws nothing
-when k exceeds the size of the smallest facet complement, since fewer
-than k columns never generate Z^k.  Results are deduplicated by the
-Hermite normal form of the row lattice, computed on plain rows, so
-GL_k(Z)-equivalent candidates count once.  The result keeps only these
-keys.  The report checks each key's primitivity on its plain rows as it
-writes the key, with no IntMatrix or Subtorus built; found and tori()
+Random mode draws cfg.samples >= 1 candidates as entry indices, the
+stream of rng.choice taken in blocks of getrandbits words (_choices).
+It codes each distinct column of indices into the test's palette once,
+and looks entry values up only for the rows of a free candidate.
+Either mode explores and draws nothing when k exceeds the size of the
+smallest facet complement, since fewer than k columns never generate
+Z^k.  Results are deduplicated by the Hermite normal form of the row
+lattice, computed on plain rows, so GL_k(Z)-equivalent candidates count
+once.  The result keeps only these keys.  The report takes each key as
+checked_keys gives it, primitive on its plain rows, with no IntMatrix or
+Subtorus built, and the CLI writes it from its values; found and tori()
 build each lattice's Subtorus, with its checks, when they are read.
 The HNF stops at the k-th pivot, so it is U A for a unimodular U fixed
 by the columns up to that pivot; exhaustive mode reads U off the HNF of
@@ -50,11 +53,13 @@ never a proof of non-existence.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from itertools import product
 from math import factorial
 from typing import ClassVar, Optional
 
+from . import torus
 from .intlinalg import (IntMatrix, InternalError, hermite_normal_form_rows,
                         is_primitive_rows)
 from .simplicial import SimplicialComplex
@@ -135,37 +140,48 @@ class SearchResult:
     def found(self):
         return list(self.tori())
 
-    def to_json(self, stream=False):
-        """The report; with stream, "found" is an iterator that checks
-        each lattice and gives its record as it is drawn.  A key that is
-        not primitive is an InternalError: the search keys only
-        candidates whose columns generate Z^k."""
-        found = self._records()
-        return {"found": found if stream else list(found),
+    def to_json(self):
+        """The report, each lattice as its Subtorus.to_json record."""
+        return {"found": [{"m": self.m, "rows": [list(row) for row in key]}
+                          for key in self.checked_keys()],
                 "explored": self.explored,
                 "complete_candidates": self.complete_candidates,
                 "note": self.note}
 
-    def _records(self):
-        """Each key's Subtorus.to_json record, from its plain rows."""
-        m = self.m
+    def checked_keys(self):
+        """The keys, each checked primitive on its plain rows as it is
+        drawn: the search keys only candidates whose columns generate
+        Z^k, so a key that is not is an InternalError."""
         for key in self.keys:
             if not is_primitive_rows(key):
                 raise InternalError(f"found lattice {key} is not primitive")
-            yield {"m": m, "rows": [list(row) for row in key]}
+            yield key
 
 
-def _draws(rng, entries, count):
-    """count draws of rng.choice(entries): its rejection sampling on
-    getrandbits written inline, so the same stream, faster."""
-    n = len(entries)
+# Words per getrandbits call of _choices: bounds the draws held at once.
+_DRAW_WORDS = 1 << 14
+
+
+def _choices(rng, n, count):
+    """The indices of count draws of rng.choice from n entries, leaving
+    rng as they would.  A draw keeps the top n.bit_length() bits of the
+    next word of getrandbits(32 * w), lowest word first, until they are
+    below n; it takes a word at least, so asking for no more words than
+    draws are missing takes only rng.choice's words.  Up to 255 entries,
+    bytes.translate shifts and rejects the words' top bytes."""
     bits = n.bit_length()
-    getrandbits = rng.getrandbits
+    if bits <= 8:
+        index = bytes(b >> 8 - bits for b in range(256))
+        rejected = bytes(b for b in range(256) if index[b] >= n)
     out = []
     while len(out) < count:
-        r = getrandbits(bits)
-        if r < n:
-            out.append(entries[r])
+        w = min(count - len(out), _DRAW_WORDS)
+        words = rng.getrandbits(32 * w).to_bytes(4 * w, "little")
+        if bits <= 8:
+            out += words[3::4].translate(index, rejected)
+        else:
+            out += [r for (x,) in struct.iter_unpack("<I", words)
+                    if (r := x >> 32 - bits) < n]
     return out
 
 
@@ -192,18 +208,35 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
 
     if cfg.mode == "random":
         # The palette is the distinct columns in order of first draw.
+        # known codes the columns of entry indices drawn since code()
+        # last started the palette over, as it does before it is full.
         rng = random.Random(cfg.seed)
         test = FreenessTest(k)
-        for _ in range(cfg.samples):
-            draws = _draws(rng, cfg.entry_set, k * m)
-            rows = [draws[i * m:(i + 1) * m] for i in range(k)]
-            # One column per vertex, so k = 0 codes m empty columns.
-            codes = test.code(list(zip(*rows)) if k else [()] * m)
-            result.explored += 1
-            if test.first_unfree(codes, comps) is None:
-                result.complete_candidates += 1
-                # A key seen before keeps its place.
-                seen[hermite_normal_form_rows(rows)] = None
+        entries, size = cfg.entry_set, k * m
+        full = torus.FREENESS_PALETTE_LIMIT - m
+        known = {}
+        result.explored = cfg.samples
+        block = max(1, _DRAW_WORDS // max(size, 1))
+        for first in range(0, cfg.samples, block):
+            count = min(block, cfg.samples - first)
+            drawn = _choices(rng, len(entries), count * size)
+            for j in range(count):
+                rows = [drawn[i:i + m]
+                        for i in range(j * size, (j + 1) * size, m)]
+                # One column per vertex, so k = 0 codes m empty columns.
+                cols = list(zip(*rows)) if k else [()] * m
+                if len(test.palette) > full:
+                    known.clear()
+                codes = list(map(known.get, cols))
+                if None in codes:
+                    codes = test.code([tuple(map(entries.__getitem__, col))
+                                       for col in cols])
+                    known.update(zip(cols, codes))
+                if test.first_unfree(codes, comps) is None:
+                    result.complete_candidates += 1
+                    # A key seen before keeps its place.
+                    seen[hermite_normal_form_rows(
+                        [[entries[i] for i in row] for row in rows])] = None
         return result
 
     # The palette is every k-tuple over the entry set, in product order.

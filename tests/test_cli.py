@@ -24,6 +24,7 @@ from momentangle.intlinalg import IntMatrix, InternalError
 from momentangle.search import SearchConfig, search_free
 from momentangle.simplicial import boundary_of_simplex, cyclic_polytope_boundary
 from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
+import test_search
 
 
 # The 6-vertex real projective plane and the 7-vertex torus: no spheres.
@@ -73,6 +74,32 @@ def report_chunks(payload):
 
 def report_text(payload):
     return "".join(report_chunks(payload))
+
+
+def search_report(monkeypatch, tmp_path, K, cfg):
+    """The exit code of the search-free run of cfg on K through main,
+    the chunks it writes to stdout, in order, and the report those
+    should join to: json.dumps of search_free's to_json() with the
+    verdict."""
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(K.to_json()))
+    argv = ["search-free", "--complex", str(path), "--k", str(cfg.k),
+            "--entries=" + ",".join(map(str, cfg.entry_set)),
+            "--mode", cfg.mode]
+    if cfg.mode == "random":
+        argv = ["--seed", str(cfg.seed), *argv,
+                "--samples", str(cfg.samples)]
+    chunks = []
+
+    def write(text="", flush=False):
+        if text:
+            chunks.append(text)
+
+    monkeypatch.setattr(cli, "_write_stdout", write)
+    code = main(argv)
+    res = search_free(K, cfg)
+    payload = dict(res.to_json(), verdict=bool(res.keys))
+    return code, chunks, json.dumps(payload, indent=2) + "\n"
 
 
 def run_json(capsys, argv):
@@ -458,7 +485,7 @@ class TestSearchFree:
         def no_draws(*args):
             raise AssertionError("candidate drawn")
 
-        monkeypatch.setattr(momentangle.search, "_draws", no_draws)
+        monkeypatch.setattr(momentangle.search, "_choices", no_draws)
         code, obj = run_json(capsys, [
             "--seed", "1", "search-free", "--complex", c69_file,
             "--k", "100000000", "--mode", "random", "--samples", "1"])
@@ -549,55 +576,23 @@ class TestReportText:
                   {10 ** 99 + 1: {3: 4}}, {0: 1, "0": 2, Colour.RED: 3}):
             assert report_text(x) == json.dumps(x, indent=2) + "\n"
 
-    def test_records_match_json_dumps(self, monkeypatch):
-        # Lists of int records are written from templates.  Odd keys,
-        # bools and IntEnums among the ints, empty dicts, empty and ragged
-        # rows, mixed shapes and records after a non-record keep json's
-        # bytes, at every nesting level.
-        class Level(enum.IntEnum):
-            LOW = 1
-
-        rng = random.Random(20261020)
-        keys = ["m", "rows", "a{b}", "{}", "{0}", "}{", "{{", 'q"uote',
-                "caf\u00e9", "\u2028", "\U0001f600", "", "x\\y"]
-        ints = [0, 1, -1, 7, -10 ** 30]
-        odd = [True, False, Level.LOW, 2.5, None, "s"]
-
-        def scalar():
-            return rng.choice(odd if rng.random() < 0.05 else ints)
-
-        def rows():
-            width = rng.randint(0, 4)
-            M = [[scalar() for _ in range(width)]
-                 for _ in range(rng.randint(0, 3))]
-            if M and rng.random() < 0.1:  # ragged
-                rng.choice(M).append(scalar())
-            return M
-
-        def item():
-            u = rng.random()
-            if u < 0.05:
-                return {}
-            if u < 0.1:  # not a record
-                return rng.choice([[1, 2], 3, "t", [{"m": 1}], (1,)])
-            return {rng.choice(keys): scalar() if rng.random() < 0.5
-                    else rows() for _ in range(rng.randint(1, 3))}
-
-        real, templated = cli._record_text, []
-
-        def counted(x, newline, templates):
-            text = real(x, newline, templates)
-            templated.append(text is not None)
-            return text
-
-        monkeypatch.setattr(cli, "_record_text", counted)
-        for _ in range(400):
-            items = [item() for _ in range(rng.randint(0, 6))]
-            want = json.dumps({"found": items, "x": [items]}, indent=2)
-            for found in (items, iter(items)):
-                assert report_text({"found": found, "x": [items]}) == (
-                    want + "\n"), items
-        assert set(templated) == {True, False}
+    def test_records_match_json_dumps(self, monkeypatch, tmp_path):
+        # main writes each found lattice from its key, one template per
+        # shape: the bytes of json.dumps on to_json()'s records, in both
+        # modes, at k = 0 ("rows": []) to 3 and with nothing found.
+        reports = set()
+        for K, entries, k in test_search.TestAgainstFrozensetSearch.CASES:
+            for cfg in (SearchConfig(k=k, entry_set=entries),
+                        SearchConfig(k=k, entry_set=entries, mode="random",
+                                     seed=7 * k + 1, samples=150)):
+                code, chunks, want = search_report(monkeypatch, tmp_path,
+                                                   K, cfg)
+                assert "".join(chunks) == want, (K, cfg)
+                found = '"found": []' not in want
+                assert code == (0 if found else 1)
+                reports.add((k, found, '"rows": []' in want))
+        assert {(0, True, True), (3, False, False)} <= reports
+        assert {found for _, found, _ in reports} == {True, False}
 
     def test_key_types_json_rejects(self):
         for bad in ({(1, 2): 0}, {"a": {b"k": 0}}):
@@ -606,26 +601,32 @@ class TestReportText:
             with pytest.raises(TypeError, match="keys must be str"):
                 report_text(bad)
 
-    def test_streamed_found_matches_json_dumps(self):
-        # An iterator is written as the list it would give, empty or not.
+    def test_streamed_found_matches_json_dumps(self, monkeypatch,
+                                               tmp_path):
+        # The lattices are drawn from the keys as they are written: the
+        # list they give, empty or not.
         K = cyclic_polytope_boundary(6, 9)
         for k in (2, 3):
-            res = search_free(K, SearchConfig(k=k, entry_set=(0, 1)))
+            cfg = SearchConfig(k=k, entry_set=(0, 1))
+            res = search_free(K, cfg)
             assert bool(res.found) == (k == 2)
-            assert (report_text(res.to_json(stream=True))
-                    == json.dumps(res.to_json(), indent=2) + "\n")
+            _, chunks, want = search_report(monkeypatch, tmp_path, K, cfg)
+            assert "".join(chunks) == want
 
-    def test_report_is_passed_on_in_bounded_chunks(self):
+    def test_report_is_passed_on_in_bounded_chunks(self, monkeypatch,
+                                                   tmp_path):
         # A chunk is passed on once its parts reach 32,768 characters,
         # and a part is one lattice, one list of ints or a dict's text up
-        # to a value that is not a scalar: 22 chunks for the 723,846 characters of the k = 2 report on
-        # C6(9), and 7 for the 228,182 of the 3,250 facets of C6(30).
-        res = search_free(cyclic_polytope_boundary(6, 9),
-                          SearchConfig(k=2, entry_set=(0, 1)))
-        for payload, count in ((res.to_json(stream=True), 22),
-                               (cyclic_polytope_boundary(6, 30).to_json(),
-                                7)):
-            chunks = report_chunks(payload)
+        # to a value that is not a scalar: 22 chunks for the 723,865
+        # characters of the k = 2 report on C6(9), and 7 for the 228,182
+        # of the 3,250 facets of C6(30).
+        _, search_chunks, _ = search_report(
+            monkeypatch, tmp_path, cyclic_polytope_boundary(6, 9),
+            SearchConfig(k=2, entry_set=(0, 1)))
+        for chunks, count in (
+                (search_chunks, 22),
+                (report_chunks(cyclic_polytope_boundary(6, 30).to_json()),
+                 7)):
             assert len(chunks) == count
             assert min(map(len, chunks[:-1])) >= 32_768
             assert max(map(len, chunks)) < 64_000

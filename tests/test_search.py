@@ -135,13 +135,17 @@ class TestAgainstFrozensetSearch:
                          .found)
         assert total > 100
 
-    def test_random(self):
+    def test_random(self, monkeypatch):
+        # Also with blocks of 7 words, so that most candidates are drawn
+        # over several getrandbits calls, one candidate per block.
         total = 0
-        for K, entries, k in self.CASES:
-            total += len(self.check(K, SearchConfig(
-                k=k, entry_set=entries, mode="random", seed=7 * k + 1,
-                samples=150)).found)
-        assert total > 100
+        for words in (momentangle.search._DRAW_WORDS, 7):
+            monkeypatch.setattr(momentangle.search, "_DRAW_WORDS", words)
+            for K, entries, k in self.CASES:
+                total += len(self.check(K, SearchConfig(
+                    k=k, entry_set=entries, mode="random", seed=7 * k + 1,
+                    samples=150)).found)
+        assert total > 200
 
     def test_larger_searches(self):
         self.check(cyclic_polytope_boundary(4, 6),
@@ -415,22 +419,38 @@ class TestRandom:
         def no_draws(*args):
             raise AssertionError("candidate drawn")
 
-        monkeypatch.setattr(momentangle.search, "_draws", no_draws)
+        monkeypatch.setattr(momentangle.search, "_choices", no_draws)
         res = search_free(cyclic_polytope_boundary(6, 9), SearchConfig(
             k=4, entry_set=(0, 1), mode="random", seed=1, samples=5))
         assert (res.found, res.explored, res.complete_candidates) == (
             [], 0, 0)
 
-    def test_draws_are_rng_choice(self):
-        # The inline draw is rng.choice's rejection sampling, so the
+    def test_draws_are_rng_choice(self, monkeypatch):
+        # The block draw is rng.choice's rejection sampling, so the
         # stream, and every random report, is the one rng.choice gives.
-        for size in range(1, 6):
+        # Blocks of at most 7 words make one call take many blocks and
+        # refill rejected draws in many of them.
+        monkeypatch.setattr(momentangle.search, "_DRAW_WORDS", 7)
+
+        class Counted(random.Random):
+            def getrandbits(self, bits):
+                requests.append(bits)
+                return super().getrandbits(bits)
+
+        refills = 0
+        for size in [*range(1, 21), 255, 256, 300]:
             entries = tuple(range(-2, size - 2))
             for seed in (1, 141, 2024):
-                ours, ref = random.Random(seed), random.Random(seed)
-                assert (momentangle.search._draws(ours, entries, 18 * 40)
+                requests = []
+                ours, ref = Counted(seed), random.Random(seed)
+                drawn = momentangle.search._choices(ours, size, 18 * 40)
+                assert ([entries[i] for i in drawn]
                         == [ref.choice(entries) for _ in range(18 * 40)])
                 assert ours.getstate() == ref.getstate()
+                assert max(requests) == 32 * 7
+                refills += sum(requests) > 32 * 18 * 40
+        # Each size rejects some words: all but one of the 69 calls refill.
+        assert refills == 68
 
 
 class TestMemo:
