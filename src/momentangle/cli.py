@@ -358,7 +358,7 @@ def cmd_search_free(args):
     cfg = SearchConfig(k=args.k, entry_set=entries, mode=args.mode,
                        seed=args.seed, samples=args.samples)
     res = search_free(K, cfg)
-    # res.to_json(), each lattice written from its key, k rows, flat.
+    # Each found lattice is written from its key: m, then k rows, flat.
     m, k = res.m, len(next(iter(res.keys), ()))
     found = _Records({"m": _SLOT, "rows": [[_SLOT] * m] * k},
                      (sum(key, (m,)) for key in res.checked_keys()))

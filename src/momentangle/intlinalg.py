@@ -320,30 +320,17 @@ def kernel_lattice(A):
     return IntMatrix(vt.data[r:], rows=A.cols - r, cols=A.cols)
 
 
-def is_primitive_cols(k, columns):
-    """True iff the k-row matrix with these columns (each a length-k
-    sequence) has rank k and all invariant factors 1, that is, iff the
-    columns generate Z^k.
-
-    With is_primitive_rows, this is the primitivity test of the package:
-    the rows then span a direct summand, and the torus map the columns
-    define is injective.  Bareiss elimination gives the rank over Q and,
-    at rank k, the nonzero minor on its pivot columns; a minor of +-1
-    answers True at once.  Otherwise the columns generate Z^k iff the
-    Hermite normal form of their lattice is I_k.  No Smith form is built.
-    """
-    columns = list(columns)
-    return _generates(k, *_bareiss(zip(*columns), len(columns)), columns)
-
-
 def is_primitive_rows(rows):
-    """True iff rows, a sequence of k equal-length integer rows, span a
-    rank-k direct summand: the test of is_primitive_cols, with Bareiss
-    run on the rows as they are and the columns built only for the
-    Hermite form.  An exact shortcut comes first: when the columns of
-    the rows' leading entries strictly increase and every leading entry
-    is +-1, the minor on those columns is triangular with a diagonal of
-    +-1, so the rows are primitive with no elimination at all."""
+    """The primitivity test of the package: True iff rows, a sequence of
+    k equal-length integer rows, have rank k and all invariant factors 1,
+    that is, iff they span a direct summand and their columns generate
+    Z^k.  First an exact shortcut: when the rows' leading entries are +-1
+    in strictly increasing columns, the minor on those columns is
+    triangular with a unit diagonal.  Else Bareiss elimination on the
+    rows gives the rank over Q and, at rank k, the minor on its pivot
+    columns, and a minor of +-1 answers True.  Else the columns generate
+    Z^k iff the Hermite normal form of their lattice is I_k.  No Smith
+    form is built."""
     last = -1
     for row in rows:
         for j, x in enumerate(row):
@@ -356,15 +343,11 @@ def is_primitive_rows(rows):
         last = j
     else:
         return True
-    return _generates(len(rows), *_bareiss(rows, len(rows[0])), zip(*rows))
-
-
-def _generates(k, rank, D, columns):
-    """Do columns generate Z^k, given the Bareiss rank and last pivot D
-    of the k-row matrix they form?"""
+    k = len(rows)
+    rank, D = _bareiss(rows, len(rows[0]))
     if rank < k:
         return False
-    return D in (1, -1) or hermite_normal_form_rows(columns) == tuple(
+    return D in (1, -1) or hermite_normal_form_rows(zip(*rows)) == tuple(
         tuple(int(i == j) for j in range(k)) for i in range(k))
 
 

@@ -18,9 +18,9 @@ from typing import Optional
 
 from .charclasses import h2_of_quotient, mod2_class, w2_of_quotient
 from .homology import is_homology_sphere
-from .intlinalg import IntMatrix, det, kernel_lattice, row_lattice_equal
+from .intlinalg import det, kernel_lattice, row_lattice_equal
 from .simplicial import cyclic_polytope_boundary
-from .torus import (Subtorus, acts_freely, cyclic69_free_subtorus,
+from .torus import (acts_freely, cyclic69_free_subtorus,
                     cyclic69_quotient_matrix)
 
 
@@ -55,19 +55,18 @@ class VerificationReport:
                 ]}
 
 
-def verify_c69_example(torus_matrix: Optional[IntMatrix] = None,
-                       theta: Optional[IntMatrix] = None) -> VerificationReport:
-    """Run the whole pipeline; overrides exist for fault injection and for
-    re-derived quotient matrices with the same row lattice."""
+def verify_c69_example() -> VerificationReport:
+    """Run the whole pipeline on cyclic69_free_subtorus() and
+    cyclic69_quotient_matrix(), the only inputs it reads."""
     stages = []
-    for st in _stages(torus_matrix, theta):
+    for st in _stages():
         stages.append(st)
         if not st.passed:
             return VerificationReport(stages, st.name)
     return VerificationReport(stages, None)
 
 
-def _stages(torus_matrix, theta):
+def _stages():
     """The StageResult of each stage in order, yielded as soon as it is
     decided; verify_c69_example stops reading at the first failure."""
     # Stage 1: facet enumeration.
@@ -87,13 +86,8 @@ def _stages(torus_matrix, theta):
 
     # Stage 4: freeness, including the unit-2x2-minor check on every
     # facet complement.
-    A = torus_matrix if torus_matrix is not None \
-        else cyclic69_free_subtorus().matrix
-    try:
-        T = Subtorus(A)
-    except ValueError as exc:
-        yield StageResult("freeness", False, {"error": str(exc)})
-        return
+    T = cyclic69_free_subtorus()
+    A = T.matrix
     res = acts_freely(T, K)
     minor_ok = True
     bad_comp = None
@@ -112,7 +106,7 @@ def _stages(torus_matrix, theta):
 
     # Stage 5: the quotient matrix annihilates the torus rows and its
     # kernel lattice is exactly the torus lattice.
-    Q = theta if theta is not None else cyclic69_quotient_matrix()
+    Q = cyclic69_quotient_matrix()
     annihilates = (Q @ A.transpose()).is_zero()
     kernel_match = row_lattice_equal(kernel_lattice(Q), A)
     yield StageResult("kernel-containment", annihilates and kernel_match,

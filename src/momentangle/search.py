@@ -25,8 +25,8 @@ Z^k.  Results are deduplicated by the Hermite normal form of the row
 lattice, computed on plain rows, so GL_k(Z)-equivalent candidates count
 once.  The result keeps only these keys.  The report takes each key as
 checked_keys gives it, primitive on its plain rows, with no IntMatrix or
-Subtorus built, and the CLI writes it from its values; found and tori()
-build each lattice's Subtorus, with its checks, when they are read.
+Subtorus built, and the CLI writes it from its values; found builds
+each lattice's Subtorus, with its checks, when it is read.
 The HNF stops at the k-th pivot, so it is U A for a unimodular U fixed
 by the columns up to that pivot; exhaustive mode reads U off the HNF of
 [A | I_k] at one leaf and keys every following leaf that shares those
@@ -122,9 +122,9 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     """The lattices found, kept as their HNF row keys in discovery order.
-    found and tori() build each one's canonical Subtorus, with its
-    checks, on every read: read found once and keep the list.  The
-    report checks each key on its plain rows instead."""
+    found builds each one's canonical Subtorus, with its checks, on every
+    read: read it once and keep the list.  The report checks each key on
+    its plain rows instead."""
 
     m: int
     keys: dict = field(default_factory=dict)   # HNF rows -> None
@@ -132,21 +132,10 @@ class SearchResult:
     complete_candidates: int = 0
     note: ClassVar[str] = BOUNDED_EVIDENCE
 
-    def tori(self):
-        return (Subtorus(IntMatrix(key, rows=len(key), cols=self.m))
-                for key in self.keys)
-
     @property
     def found(self):
-        return list(self.tori())
-
-    def to_json(self):
-        """The report, each lattice as its Subtorus.to_json record."""
-        return {"found": [{"m": self.m, "rows": [list(row) for row in key]}
-                          for key in self.checked_keys()],
-                "explored": self.explored,
-                "complete_candidates": self.complete_candidates,
-                "note": self.note}
+        return [Subtorus(IntMatrix(key, rows=len(key), cols=self.m))
+                for key in self.keys]
 
     def checked_keys(self):
         """The keys, each checked primitive on its plain rows as it is
@@ -198,8 +187,7 @@ def search_free(K: SimplicialComplex, cfg: SearchConfig) -> SearchResult:
             f"vertices, got {m}; use --mode random to sample")
     result = SearchResult(m)
     seen = result.keys
-    # Without facets the empty face is maximal.
-    comps = K.facet_complements() or [tuple(range(1, m + 1))]
+    comps = K.facet_complements()
     # Fewer than k columns never generate Z^k, so when k exceeds the
     # smallest facet complement no candidate is free: answer "none" with
     # nothing explored or drawn, before either mode builds a palette.

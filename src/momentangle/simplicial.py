@@ -73,13 +73,12 @@ class SimplicialComplex:
         return len(sizes) <= 1
 
     def facet_complements(self):
-        """{1..m} minus each facet, ascending, in facet order."""
-        out = []
-        for f in self.facets:
-            fset = set(f)
-            out.append(tuple(v for v in range(1, self.m + 1)
-                             if v not in fset))
-        return out
+        """{1..m} minus each facet, ascending, in facet order.  Without
+        facets the empty face is the one maximal face, so its complement
+        (1, ..., m) is the one complement."""
+        verts = set(range(1, self.m + 1))
+        return [tuple(sorted(verts.difference(f)))
+                for f in self.facets or [()]]
 
     def faces_of_dim(self, d):
         """All d-faces in ascending order; d = -1 gives the empty face."""
@@ -111,14 +110,11 @@ class SimplicialComplex:
         1995), built here by Berge's sequential algorithm on bitmasks.
         The work follows the transversals kept along the way, not the
         number of vertex subsets.  A ghost vertex lies in every
-        complement, so it comes out as a singleton.
+        complement, so it comes out as a singleton; without facets every
+        vertex does.
         """
-        if not self.facets:
-            # Only the empty face: every vertex is a minimal non-face.
-            return [(v,) for v in range(1, self.m + 1)]
-        full = (1 << self.m) - 1
         transversals = [0]  # minimal transversals of the edges so far
-        for edge in sorted(full & ~_bitmask(f) for f in self.facets):
+        for edge in sorted(map(_bitmask, self.facet_complements())):
             hit = [t for t in transversals if t & edge]
             grown = []
             for t in transversals:

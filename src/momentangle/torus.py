@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intlinalg import (IntMatrix, InternalError, _bareiss,
-                        hermite_normal_form, is_primitive_cols,
-                        is_primitive_rows, kernel_lattice, rank_rational,
-                        row_lattice_equal)
+                        hermite_normal_form, is_primitive_rows,
+                        kernel_lattice, rank_rational, row_lattice_equal)
 from .simplicial import SimplicialComplex
 
 
@@ -115,13 +114,14 @@ class FreenessTest:
     Columns are held as codes into palette, a list of distinct length-k
     columns: column j is palette[codes[j - 1]].  memo maps the set of codes
     of a label set, as an int bitmask of palette indices, to
-    is_primitive_cols(k, ...), so the test runs once per set of distinct
-    columns however often the set recurs.  The key is exact: rank k with
-    every invariant factor 1 means the columns generate Z^k, which depends
-    only on the set of distinct columns, not on their order or
-    multiplicity.  The memo stops growing at FREENESS_MEMO_LIMIT entries,
-    and code() starts palette and memo over before the palette would pass
-    FREENESS_PALETTE_LIMIT codes, which keeps a key within 256 bytes.
+    is_primitive_rows of the rows those columns form, so the test runs
+    once per set of distinct columns however often the set recurs.  The
+    key is exact: rank k with every invariant factor 1 means the columns
+    generate Z^k, which depends only on the set of distinct columns, not
+    on their order or multiplicity.  The memo stops growing at
+    FREENESS_MEMO_LIMIT entries, and code() starts palette and memo over
+    before the palette would pass FREENESS_PALETTE_LIMIT codes, which
+    keeps a key within 256 bytes.
     children maps a prefix key to the bitmask of the codes c for which
     key | 1 << c is primitive, read through memo once per prefix; it is
     capped like memo, and code() clears it whenever it adds a code, as
@@ -212,8 +212,10 @@ class FreenessTest:
         return mask
 
     def _primitive(self, key):
-        """The memo miss: is_primitive_cols of the columns coded by key,
-        stored while the memo is below its cap."""
+        """The memo miss: is_primitive_rows of the k rows that the
+        columns coded by key form (k empty rows when key is 0, so no
+        column generates Z^k for k >= 1, and Z^0 always), stored while
+        the memo is below its cap."""
         palette = self.palette
         cols = []
         rest = key
@@ -221,7 +223,7 @@ class FreenessTest:
             low = rest & -rest
             cols.append(palette[low.bit_length() - 1])
             rest ^= low
-        free = is_primitive_cols(self.k, cols)
+        free = is_primitive_rows(list(zip(*cols)) or [()] * self.k)
         if len(self.memo) < FREENESS_MEMO_LIMIT:
             self.memo[key] = free
         return free
@@ -233,6 +235,8 @@ def acts_freely(T: Subtorus, K: SimplicialComplex) -> FreenessResult:
     test = FreenessTest(T.k)
     i = test.first_unfree(test.code(T.matrix.transpose().data),
                           K.facet_complements())
+    # i indexes a facet: without facets the one complement is all m
+    # columns, which a primitive T always generates.
     return FreenessResult(i is None, None if i is None else K.facets[i])
 
 
@@ -351,6 +355,8 @@ def extend_to_characteristic(T: Subtorus, K: SimplicialComplex,
                     "kernel of the extension is not characteristic")
             return ExtensionResult(True, theta_full, lam, tries)
         if need == 0:  # nothing is being sampled; retrying cannot help
+            # bad indexes a facet: a primitive T is never singular on all
+            # m columns, the one complement when K has no facets.
             return ExtensionResult(
                 False, None, None, tries,
                 f"no row drawn: the torus already has dimension "

@@ -9,9 +9,13 @@ files draw from live here too.  is_shelling does not call the package's
 shelling: it checks an order from intersections of facets alone.
 relabel_key is the sphere certificate's key as it was before it squeezed
 facet masks, and key_name formats the names the certificate reports.
+search_json is the search report built as plain dicts and lists, which
+the CLI's writer must match byte for byte, and h_vector reads the
+h-vector off the f-vector.
 """
 
 from itertools import combinations, product
+from math import comb
 
 from momentangle.homology import is_homology_sphere
 from momentangle.intlinalg import IntMatrix, cokernel, rank_rational
@@ -154,3 +158,21 @@ def projective_product(exponents):
             lam[row + i][block[-1] - 1] = -1
         row += a
     return K, IntMatrix(lam)
+
+
+def search_json(res):
+    """The search-free report of a SearchResult, less its verdict, each
+    lattice as its Subtorus.to_json record."""
+    return {"found": [{"m": res.m, "rows": [list(row) for row in key]}
+                      for key in res.checked_keys()],
+            "explored": res.explored,
+            "complete_candidates": res.complete_candidates,
+            "note": res.note}
+
+
+def h_vector(K):
+    """h_0..h_n of K, n = dim K + 1, from its f-vector alone."""
+    n = K.dimension + 1
+    f = (1,) + K.f_vector()
+    return [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i]
+                for i in range(k + 1)) for k in range(n + 1)]

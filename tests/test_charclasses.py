@@ -1,7 +1,6 @@
 import json
 import random
 from itertools import combinations_with_replacement, product
-from math import comb
 
 import pytest
 
@@ -15,7 +14,8 @@ from momentangle.intlinalg import IntMatrix, rows_to_bitmasks, rref_mod2
 from momentangle.simplicial import boundary_of_simplex, new_complex
 from momentangle.torus import (cyclic69_quotient_matrix, quotient_projection,
                                cyclic69_free_subtorus)
-from oracles import image_contains, projective_product, random_unimodular
+from oracles import (h_vector, image_contains, projective_product,
+                     random_unimodular)
 
 
 def lucas_binom_mod2(n, k):
@@ -548,14 +548,6 @@ def assert_packed_ring_matches_tuple_ring(K, lam, gdeg):
     assert [c.coords for c in classes] == [O.coords(p, j)
                                            for j, p in enumerate(want)]
     assert sw_numbers(R) == O.sw_numbers(gdeg)
-
-
-def h_vector(K):
-    """h_0..h_n of K, n = dim K + 1, from its f-vector alone."""
-    n = K.dimension + 1
-    f = (1,) + K.f_vector()
-    return [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i]
-                for i in range(k + 1)) for k in range(n + 1)]
 
 
 H_VECTOR_CASES = DIFFERENTIAL_CASES + [("cp9", (9,), 2), ("cp10", (10,), 2)]

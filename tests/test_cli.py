@@ -22,9 +22,11 @@ from momentangle import cli
 from momentangle.cli import main
 from momentangle.intlinalg import IntMatrix, InternalError
 from momentangle.search import SearchConfig, search_free
-from momentangle.simplicial import boundary_of_simplex, cyclic_polytope_boundary
+from momentangle.simplicial import (boundary_of_simplex,
+                                    cyclic_polytope_boundary, new_complex)
 from momentangle.torus import cyclic69_free_subtorus, cyclic69_quotient_matrix
 import test_search
+from oracles import projective_product, search_json
 
 
 # The 6-vertex real projective plane and the 7-vertex torus: no spheres.
@@ -79,7 +81,7 @@ def report_text(payload):
 def search_report(monkeypatch, tmp_path, K, cfg):
     """The exit code of the search-free run of cfg on K through main,
     the chunks it writes to stdout, in order, and the report those
-    should join to: json.dumps of search_free's to_json() with the
+    should join to: json.dumps of search_free's search_json with the
     verdict."""
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(K.to_json()))
@@ -98,7 +100,7 @@ def search_report(monkeypatch, tmp_path, K, cfg):
     monkeypatch.setattr(cli, "_write_stdout", write)
     code = main(argv)
     res = search_free(K, cfg)
-    payload = dict(res.to_json(), verdict=bool(res.keys))
+    payload = dict(search_json(res), verdict=bool(res.keys))
     return code, chunks, json.dumps(payload, indent=2) + "\n"
 
 
@@ -298,6 +300,24 @@ class TestExtendChar:
         assert code == 0
         assert obj["verdict"] is True
         assert obj["theta_full"]["rows"] == 3
+
+    def test_no_facets_needs_a_nonsingular_theta(self, capsys, tmp_path):
+        # Without facets the empty face is maximal, so theta_full is
+        # m x m and its minor on the one complement, all m columns, must
+        # not vanish; lam has n = 0 rows.  A singular theta_full was
+        # accepted while the complex had no complements at all.
+        cpath, tpath = tmp_path / "k.json", tmp_path / "t.json"
+        cpath.write_text('{"m": 2, "facets": []}')
+        tpath.write_text('{"m": 2, "rows": [[1, 1]]}')
+        code, obj = run_json(capsys, ["--seed", "2", "extend-char",
+                                      "--complex", str(cpath), "--torus",
+                                      str(tpath), "--entry-bound", "1"])
+        assert code == 0
+        assert obj["verdict"] is True
+        (a, b), (c, d) = obj["theta_full"]["data"]
+        assert a * d - b * c != 0
+        assert obj["characteristic_matrix"] == {"rows": 0, "cols": 2,
+                                                "data": []}
 
     @pytest.mark.parametrize("flag, value", [
         ("--entry-bound", "0"), ("--entry-bound", "-2"),
@@ -578,7 +598,7 @@ class TestReportText:
 
     def test_records_match_json_dumps(self, monkeypatch, tmp_path):
         # main writes each found lattice from its key, one template per
-        # shape: the bytes of json.dumps on to_json()'s records, in both
+        # shape: the bytes of json.dumps on search_json's records, in both
         # modes, at k = 0 ("rows": []) to 3 and with nothing found.
         reports = set()
         for K, entries, k in test_search.TestAgainstFrozensetSearch.CASES:
@@ -1223,6 +1243,37 @@ class TestVerifyExample:
         main(["verify-example"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # Set and dict orders of str keys follow PYTHONHASHSEED; no report
+    # may.  Each command runs in a fresh interpreter under two seeds.
+    K = cyclic_polytope_boundary(6, 10)
+    perm = random.Random(610).sample(range(1, 11), 10)
+    relabelled = new_complex(10, [[perm[v - 1] for v in f]
+                                  for f in K.facets])
+    cp2x3, lam = projective_product((2, 2, 2))
+    for name, obj in [("sphere.json", relabelled.to_json()),
+                      ("c69.json", cyclic_polytope_boundary(6, 9).to_json()),
+                      ("cp2x3.json", cp2x3.to_json()),
+                      ("cp2x3-char.json", lam.to_json())]:
+        (tmp_path / name).write_text(json.dumps(obj))
+    for argv in (["verify-example"],
+                 ["check-manifold", "--complex", "sphere.json"],
+                 ["search-free", "--complex", "c69.json", "--k", "2",
+                  "--entries=0,1"],
+                 ["sw-quasitoric", "--complex", "cp2x3.json",
+                  "--char", "cp2x3-char.json"]):
+        outs = set()
+        for seed in ("0", "7"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentangle.cli", *argv],
+                env=dict(_src_env(), PYTHONHASHSEED=seed), cwd=tmp_path,
+                capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1, argv
+        assert outs.pop().startswith(b"{"), argv
 
 
 def test_cli_imports_only_the_standard_library():

@@ -19,8 +19,9 @@ from momentangle.intlinalg import (IntMatrix, rows_to_bitmasks, rref_mod2,
                                    smith)
 from momentangle.simplicial import (_bitmask, boundary_of_simplex,
                                     cyclic_polytope_boundary, new_complex)
-from oracles import (is_shelling, key_name, link, manifold_verdict,
-                     relabel_key, support)
+from oracles import (h_vector, is_shelling, key_name, link,
+                     manifold_verdict, projective_product, relabel_key,
+                     support)
 
 # Minimal 6-vertex triangulation of the real projective plane: the one
 # complex in the suite with integer torsion (H_1 = Z/2).
@@ -553,6 +554,30 @@ class TestCanonicalKey:
         masks = [0b11000, 0b10100, 0b01100]
         assert _canonical_key(masks) == (0b011, 0b101, 0b110)
         assert masks == [0b11000, 0b10100, 0b01100]
+
+
+class TestDehnSommerville:
+    """A homology sphere has a symmetric h-vector, h_i = h_{n-i}: the
+    Dehn-Sommerville equations, which hold for every Eulerian complex
+    (Klee, Canad. J. Math. 1964).  An oracle the certificate's "yes"
+    must pass."""
+
+    def test_certified_spheres_have_symmetric_h_vectors(self):
+        # The cyclic spheres, cross-polytopes and simplex boundaries of
+        # this suite.
+        fixtures = ([cyclic_polytope_boundary(n, m) for n, m in
+                     ((2, 4), (2, 5), (3, 5), (3, 6), (4, 7), (4, 12),
+                      (5, 10), (6, 9), (6, 10), (8, 12))]
+                    + [projective_product((1,) * n)[0] for n in range(1, 7)]
+                    + [boundary_of_simplex(n) for n in range(1, 7)])
+        for K in fixtures:
+            assert is_homology_sphere(K).verdict, K
+            h = h_vector(K)
+            assert h == h[::-1], (K, h)
+
+    def test_torus_is_asymmetric_and_refused(self):
+        assert h_vector(TORUS_7) == [1, 4, 10, -1]
+        assert not is_homology_sphere(TORUS_7).verdict
 
 
 class TestManifoldVerdict:

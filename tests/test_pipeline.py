@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from momentangle import intlinalg
+from momentangle import intlinalg, pipeline
 from momentangle.intlinalg import IntMatrix
 from momentangle.pipeline import VerificationReport, verify_c69_example
-from momentangle.torus import cyclic69_free_subtorus, quotient_projection
+from momentangle.torus import (Subtorus, cyclic69_free_subtorus,
+                               quotient_projection)
+from oracles import random_unimodular
 
 
 class TestVerify:
@@ -15,13 +19,15 @@ class TestVerify:
         w2 = next(s for s in report.stages if s.name == "w2")
         assert w2.details["coords"] == [1, 1]
 
-    def test_corrupted_torus_fails_at_freeness(self):
+    def test_corrupted_torus_fails_at_freeness(self, monkeypatch):
         A = cyclic69_free_subtorus().matrix
         rows = [list(r) for r in A.data]
         # Make columns 1..3 collinear: the facet with complement {1,2,3}
         # then sees a rank-1 submatrix.
         rows[0][1], rows[1][1] = 1, 0
-        report = verify_c69_example(torus_matrix=IntMatrix(rows))
+        monkeypatch.setattr(pipeline, "cyclic69_free_subtorus",
+                            lambda: Subtorus(IntMatrix(rows)))
+        report = verify_c69_example()
         assert not report.passed
         assert report.first_failure == "freeness"
         freeness = next(s for s in report.stages if s.name == "freeness")
@@ -32,23 +38,21 @@ class TestVerify:
         comp = [v for v in range(1, 10) if v not in witness]
         assert all(rows[1][v - 1] == 0 for v in comp)
 
-    def test_rederived_theta_gives_same_verdicts(self):
-        theta = quotient_projection(cyclic69_free_subtorus())
-        report = verify_c69_example(theta=theta)
+    def test_rederived_theta_gives_same_verdicts(self, monkeypatch):
+        # The re-derived rows under a unimodular change of basis: the same
+        # row lattice as the hard-coded matrix, other rows.
+        theta = random_unimodular(random.Random(69), 7) @ quotient_projection(
+            cyclic69_free_subtorus())
+        assert theta != pipeline.cyclic69_quotient_matrix()
+        monkeypatch.setattr(pipeline, "cyclic69_quotient_matrix",
+                            lambda: theta)
+        report = verify_c69_example()
         assert report.passed
 
-    def test_non_primitive_torus_stops_at_freeness(self):
-        rows = [list(r) for r in cyclic69_free_subtorus().matrix.data]
-        rows[0] = [2 * x for x in rows[0]]
-        report = verify_c69_example(torus_matrix=IntMatrix(rows))
-        assert not report.passed
-        assert [s.name for s in report.stages] == [
-            "gale-enumeration", "purity", "homology-sphere", "freeness"]
-        assert report.first_failure == "freeness"
-        assert set(report.stages[-1].details) == {"error"}
-
-    def test_wrong_theta_stops_at_kernel_containment(self):
-        report = verify_c69_example(theta=IntMatrix([[1] + [0] * 8]))
+    def test_wrong_theta_stops_at_kernel_containment(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "cyclic69_quotient_matrix",
+                            lambda: IntMatrix([[1] + [0] * 8]))
+        report = verify_c69_example()
         assert not report.passed
         assert len(report.stages) == 5
         assert report.stages[-1].name == "kernel-containment"

@@ -147,7 +147,8 @@ class TestPredicates:
         K = new_complex(5, [(1, 2), (2, 3), (1, 3)])  # 4 and 5 are ghosts
         assert K.facets == ((1, 2), (1, 3), (2, 3))
         assert K.facet_complements() == [(3, 4, 5), (2, 4, 5), (1, 4, 5)]
-        assert boundary_of_simplex(0).facet_complements() == []
+        # Without facets the empty face is the one maximal face.
+        assert boundary_of_simplex(0).facet_complements() == [(1,)]
         for sigma, comp in zip(K.facets, K.facet_complements()):
             assert sorted(sigma + comp) == list(range(1, K.m + 1))
 
